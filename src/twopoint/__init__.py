@@ -12,11 +12,11 @@ into a confidence interval.  :mod:`~twopoint.cli` wraps it all for the
 command line.
 """
 
-from .disintegration import (MIXTURE_MODES, MixtureDecomposition, PairSample,
+from .disintegration import (MIXTURE_MODES, MixtureDecomposition,
                              RatioMoments, TiltedAtoms, TwoPointLaw,
                              UniformityReport, component_ratio_moment,
                              decompose, joint_disintegrate, mixture_expect,
-                             ratio_moments, sample_pair, sample_pairs,
+                             ratio_moments, sample_pairs,
                              side_masses_from_levels, tilt, two_point,
                              uniformity_check)
 from .errors import InputError, TwopointError
@@ -55,8 +55,6 @@ __all__ = [
     "two_point",
     "MixtureDecomposition",
     "decompose",
-    "PairSample",
-    "sample_pair",
     "sample_pairs",
     "MIXTURE_MODES",
     "mixture_expect",

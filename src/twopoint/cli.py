@@ -51,8 +51,15 @@ def _plain(obj):
 
 
 def emit(payload: dict, out) -> None:
-    json.dump(_plain(payload), out, sort_keys=True, indent=2)
-    out.write("\n")
+    # exact results can have far more digits than the int-to-str limit
+    # allows; the limit guards parsing of outside input, not our output
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(_plain(payload), sort_keys=True, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out.write(text + "\n")
 
 
 def _substream(seed: int, label: str):
@@ -70,12 +77,18 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _load_json(path: str):
+    """JSON with decimals parsed exactly.  Malformed text and numbers
+    beyond the int-to-str digit limit are both input errors."""
+    try:
+        return json.loads(_read_text(path), parse_float=Fraction)
+    except ValueError as exc:
+        raise InputError(f"could not parse {path!r} as JSON: {exc}")
+
+
 def load_measure(path: str) -> ZeroMeanMeasure:
     """Measure from JSON, decimals parsed exactly."""
-    try:
-        obj = json.loads(_read_text(path), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"could not parse {path!r} as JSON: {exc}")
+    obj = _load_json(path)
     if isinstance(obj, dict) and "atoms" in obj and "backend" not in obj:
         obj = {"backend": "discrete", **obj}
     return ZeroMeanMeasure.from_jsonable(obj)
@@ -135,8 +148,12 @@ def _cmd_verify(args, out) -> int:
         for h in grid)
 
     v_ok = True
+    # float u would demote the levels of an exact measure to floats
+    us = (0.25, 0.5, 0.75, 1.0)
+    if mu.is_exact:
+        us = tuple(map(Fraction, us))
     for loc, _mass in mu.atoms:
-        for u in (0.25, 0.5, 0.75, 1.0):
+        for u in us:
             r = mu.reciprocate(loc, u)
             v = mu.v_map(loc, u)
             if float(abs(mu.reciprocate(r, v) - mu.regularize(loc, u))) > 1e-9:
@@ -213,10 +230,7 @@ def _cmd_model(args, out) -> int:
 
 def _cmd_optimal(args, out) -> int:
     mu = load_measure(args.input)
-    try:
-        alt_obj = json.loads(_read_text(args.alt), parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"could not parse {args.alt!r} as JSON: {exc}")
+    alt_obj = _load_json(args.alt)
     if not (isinstance(alt_obj, dict) and "components" in alt_obj):
         raise InputError("alternative must be "
                          '{"components": [{"w", "a", "b"}, ...]}')

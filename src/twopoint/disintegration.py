@@ -2,9 +2,9 @@
 
 Any zero-mean law is a mixture of laws supported on two points ``{a, b}``
 with ``a <= 0 <= b`` (the point mass at zero being the degenerate case
-``a = b = 0``).  For a discrete measure the mixture is computed exactly by
-enumerating, for every atom, the ``u`` segments on which the
-reciprocating map is constant.  The same structure drives exact
+``a = b = 0``).  For a discrete measure the mixture is read exactly off
+the level table of the paired inverses, where each level piece carries
+the law on its two endpoints.  The same table drives exact
 evaluation of mixture expectations by several distinct routes, tilted
 (size-biased) companion laws, uniformity diagnostics, and a joint,
 coordinate-wise disintegration identity.
@@ -35,8 +35,6 @@ __all__ = [
     "two_point",
     "MixtureDecomposition",
     "decompose",
-    "PairSample",
-    "sample_pair",
     "sample_pairs",
     "mixture_expect",
     "MIXTURE_MODES",
@@ -156,54 +154,51 @@ class MixtureDecomposition:
         return cls(tuple(comps))
 
 
+def _ordered_pieces(measure: ZeroMeanMeasure):
+    """``(x, partner, weight)`` for the atom at zero and for every level
+    piece and side that still carries mass there: a piece of width ``dh``
+    holds the part ``dh / |x|`` of the atom ``x``."""
+    if measure.prob_zero:
+        yield measure._zero, 0, measure.prob_zero
+    for lo, hi, a, b, a_live, b_live in zip(*measure._level_table()):
+        if a_live:
+            yield a, b, (hi - lo) / -a
+        if b_live:
+            yield b, a, (hi - lo) / b
+
+
 def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
     """Exact two-point mixture of a discrete measure.
 
-    Every atom contributes one component per constant piece of its
-    reciprocating partner, with weight mass times piece length; pieces
-    sharing the same unordered endpoint pair are merged.  Components are
+    Every level piece contributes the weights it takes from its two
+    endpoints, and pieces sharing the same unordered endpoint pair are
+    merged; the atom at zero is the degenerate component.  Components are
     returned sorted by endpoints.
     """
     if measure.backend != "discrete":
         raise NotDiscrete("decompose requires a discrete measure")
     weights: dict = {}
-    for loc, mass in measure.atoms:
-        for u_lo, u_hi, partner in measure.u_segments(loc):
-            if isinstance(partner, float) and math.isinf(partner):
-                raise InfiniteEndpoint(
-                    f"atom {loc!r} pairs with an infinite partner; "
-                    "one-sided totals do not balance")
-            w = mass * (u_hi - u_lo)
-            if w == 0:
-                continue
-            key = (loc, partner) if loc <= partner else (partner, loc)
-            weights[key] = weights.get(key, 0) + w
+    for x, partner, w in _ordered_pieces(measure):
+        if partner == INF or partner == NEG_INF:
+            raise InfiniteEndpoint(
+                f"atom {x!r} pairs with an infinite partner; the measure "
+                "has no atoms on the other side")
+        key = (x, partner) if x <= partner else (partner, x)
+        weights[key] = weights.get(key, 0) + w
     comps = tuple((weights[key], two_point(*key)) for key in sorted(weights))
     return MixtureDecomposition(comps)
 
 
 # --- sampling of (x, partner) pairs ---------------------------------------
 
-@dataclass(frozen=True)
-class PairSample:
-    x: float
-    r: float
-    u: float
-
-
-def _partner_tables(measure: ZeroMeanMeasure):
-    """Per-atom float lookup tables: (u break points, partner values)."""
-    tables = []
-    for loc, _mass in measure.atoms:
-        segs = measure.u_segments(loc)
-        breaks = np.array([float(s[1]) for s in segs])
-        partners = np.array([float(s[2]) for s in segs])
-        tables.append((breaks, partners))
-    return tables
-
-
 def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
-    """Vectorized draws of ``(X, r(X, U), U)``; returns three arrays."""
+    """Vectorized draws of ``(X, r(X, U), U)``; returns three arrays.
+
+    On a discrete measure each draw's level ``g_tilde(X, U)`` is looked
+    up in the level table, as :meth:`~ZeroMeanMeasure.reciprocate` does
+    one at a time, except that a level past the opposite side's total
+    keeps that side's last atom.
+    """
     if measure.backend != "discrete":
         xs = measure.sample(n, rng)
         us = rng.random(int(n))
@@ -212,21 +207,19 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
         return xs, rs, us
     idx = measure.sample_indices(n, rng)
     us = rng.random(int(n))
-    locs = np.array([float(l) for l, _ in measure.atoms])
-    rs = np.empty(int(n))
-    for i, (breaks, partners) in enumerate(_partner_tables(measure)):
-        mask = idx == i
-        if mask.any():
-            pos = np.searchsorted(breaks, us[mask], side="left")
-            pos = np.minimum(pos, len(partners) - 1)
-            rs[mask] = partners[pos]
-    return locs[idx], rs, us
-
-
-def sample_pair(measure: ZeroMeanMeasure, rng) -> PairSample:
-    """A single draw of ``(X, r(X, U), U)``."""
-    xs, rs, us = sample_pairs(measure, 1, rng)
-    return PairSample(float(xs[0]), float(rs[0]), float(us[0]))
+    locs, _ = measure._float_tables()
+    table = measure._level_table()
+    base = np.array(measure._atom_bases(), dtype=float)
+    jump = np.array([abs(l) * p for l, p in measure.atoms], dtype=float)
+    # rounding may push a level past the top piece, never past another one
+    row = np.minimum(np.searchsorted(np.array(table.hi, dtype=float),
+                                     base[idx] + jump[idx] * us),
+                     len(table.hi) - 1)
+    xs = locs[idx]
+    rs = np.where(xs > 0, np.array(table.a, dtype=float)[row],
+                  np.array(table.b, dtype=float)[row])
+    rs[xs == 0] = 0.0
+    return xs, rs, us
 
 
 # --- mixture expectations -------------------------------------------------
@@ -235,30 +228,12 @@ MIXTURE_MODES = ("direct", "u_integral", "h_integral", "ratio_weighted",
                  "half_sum")
 
 
-def _merged_levels(measure: ZeroMeanMeasure):
-    """Sorted distinct cumulative levels of both sides, capped at the
-    smaller one-sided total (the two differ only by the mean slack)."""
-    pos = measure._pos_cum
-    neg = measure._neg_cum
-    cap = min(measure._pos_total, measure._neg_total)
-    levels = sorted({lev for lev in [*pos, *neg] if lev <= cap})
-    if levels and levels[-1] != cap:
-        levels.append(cap)
-    return levels
-
-
 def _level_laws(measure: ZeroMeanMeasure):
     """Pieces ``(length, TwoPointLaw)`` of ``h`` on ``(0, m]`` where both
-    inverses are constant."""
-    prev = 0
-    out = []
-    for lev in _merged_levels(measure):
-        if lev == prev:
-            continue
-        law = two_point(measure.x_minus(lev), measure.x_plus(lev))
-        out.append((lev - prev, law))
-        prev = lev
-    return out
+    sides carry mass: the level table below the smaller one-sided total."""
+    return [(hi - lo, two_point(a, b))
+            for lo, hi, a, b, a_live, b_live in zip(*measure._level_table())
+            if a_live and b_live]
 
 
 def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
@@ -267,16 +242,16 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     ``direct``
         plain sum (discrete) or change-of-variable quadrature (analytic).
     ``u_integral``
-        through the atom/segment enumeration behind :func:`decompose`.
+        through the ordered level pieces behind :func:`decompose`.
     ``h_integral``
         through the level representation: the average of
         ``E g(X_h) / E max(X_h, 0)`` over ``h`` uniform on ``(0, m)``,
         plus the mass at zero.
     ``ratio_weighted``
-        segment enumeration reweighted by ``-x / r`` (with ``0 / r`` read
+        ordered pieces reweighted by ``-x / r`` (with ``0 / r`` read
         as ``-1`` at the origin).
     ``half_sum``
-        segment enumeration reweighted by ``(1 - x / r) / 2``.
+        ordered pieces reweighted by ``(1 - x / r) / 2``.
 
     All five agree exactly on exact discrete measures; on analytic
     measures they share one quadrature representation.
@@ -286,9 +261,8 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     if measure.backend != "discrete":
         return _mixture_expect_analytic(measure, g)
 
-    atoms = measure.atoms
     if mode == "direct":
-        return sum(p * g(l) for l, p in atoms)
+        return sum(p * g(l) for l, p in measure.atoms)
 
     if mode == "h_integral":
         total = measure.prob_zero * g(0) if measure.prob_zero else 0
@@ -297,20 +271,16 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
         return total
 
     total = 0
-    for loc, mass in atoms:
-        for u_lo, u_hi, partner in measure.u_segments(loc):
-            seg = mass * (u_hi - u_lo)
-            if seg == 0:
-                continue
-            law = two_point(loc, partner)
-            if mode == "u_integral":
-                factor = 1
-            elif mode == "ratio_weighted":
-                factor = 1 if loc == 0 else -loc / partner
-            else:  # half_sum
-                ratio = Fraction(-1) if loc == 0 else loc / partner
-                factor = (1 - ratio) / 2
-            total = total + seg * factor * law.expect(g)
+    for x, partner, seg in _ordered_pieces(measure):
+        law = two_point(x, partner)
+        if mode == "u_integral":
+            factor = 1
+        elif mode == "ratio_weighted":
+            factor = 1 if x == 0 else -x / partner
+        else:  # half_sum
+            ratio = Fraction(-1) if x == 0 else x / partner
+            factor = (1 - ratio) / 2
+        total = total + seg * factor * law.expect(g)
     return total
 
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,6 +108,32 @@ def _check_level(h):
     if v < 0:
         raise NegativeH(f"level must be nonnegative, got {h!r}")
     return v
+
+
+class LevelTable(NamedTuple):
+    """The canonical pairing of a discrete measure, one tuple per column.
+
+    Piece ``k`` covers the levels ``lo[k] < h <= hi[k]``; the pieces cut
+    ``(0, max(G(-inf), G(inf))]`` at every cumulative level of either
+    side, so on each one ``x_minus(h) = a[k]`` and ``x_plus(h) = b[k]``.
+    ``a_live[k]`` and ``b_live[k]`` say whether the negative and the
+    positive side still carry mass there.  The one-sided totals differ by
+    the mean that ``mean_tolerance`` let through; past the smaller one
+    the spent side keeps its last atom as the partner, or an infinite
+    one when it has no atoms at all.
+    """
+
+    lo: tuple
+    hi: tuple
+    a: tuple
+    b: tuple
+    a_live: tuple
+    b_live: tuple
+
+
+def _side_atom(locs, k, far):
+    """Atom ``k`` of one side, its last atom past the end, or ``far``."""
+    return locs[min(k, len(locs) - 1)] if locs else far
 
 
 class ZeroMeanMeasure:
@@ -241,44 +268,29 @@ class ZeroMeanMeasure:
 
     def _init_discrete(self, *, locs, masses, exact):
         self._exact = exact
-        zero = Fraction(0) if exact else 0.0
+        self._zero = Fraction(0) if exact else 0.0
+        self._one = Fraction(1) if exact else 1.0
         self._locs = list(locs)
         self._masses = list(masses)
         self._mass_map = dict(zip(self._locs, self._masses))
-        self._p0 = self._mass_map.get(0, zero)
+        self._p0 = self._mass_map.get(0, self._zero)
 
         self._pos_locs = [l for l in self._locs if l > 0]
         self._neg_locs = [l for l in self._locs if l < 0][::-1]  # descending
-
-        cum = zero
-        self._pos_cum = []
-        for l in self._pos_locs:
-            cum = cum + l * self._mass_map[l]
-            self._pos_cum.append(cum)
-        self._pos_total = cum
-
-        cum = zero
-        self._neg_cum = []
-        for l in self._neg_locs:
-            cum = cum + (-l) * self._mass_map[l]
-            self._neg_cum.append(cum)
-        self._neg_total = cum
+        self._pos_cum = list(accumulate(l * self._mass_map[l]
+                                        for l in self._pos_locs))
+        self._neg_cum = list(accumulate(-l * self._mass_map[l]
+                                        for l in self._neg_locs))
+        self._pos_total = self._pos_cum[-1] if self._pos_cum else self._zero
+        self._neg_total = self._neg_cum[-1] if self._neg_cum else self._zero
         # keys for bisecting the negative side, ascending in |loc|
         self._neg_keys = [-l for l in self._neg_locs]
 
-        self._mean = self._pos_total - self._neg_total
         self._m = (self._pos_total + self._neg_total) / 2
-        # one-sided totals may disagree by |mean|; segment lookups clamp
-        # overflow up to this slack instead of fabricating infinities
-        self._slack = abs(self._mean)
-
-        cm = zero
-        self._cummass = []
-        for l in self._locs:
-            cm = cm + self._mass_map[l]
-            self._cummass.append(cm)
+        self._cummass = list(accumulate(self._masses))
 
         self._np_cache = None
+        self._table = None
 
     def _init_analytic(self, *, g, m, lo, hi, cdf, quantile):
         self._g_raw = g
@@ -338,8 +350,7 @@ class ZeroMeanMeasure:
         """Point mass at ``x`` (zero for analytic backends off zero)."""
         if self._backend == "analytic":
             return 0.0
-        zero = Fraction(0) if self._exact else 0.0
-        return self._mass_map.get(_query_number(x), zero)
+        return self._mass_map.get(_query_number(x), self._zero)
 
     def _require_discrete(self, what: str):
         if self._backend != "discrete":
@@ -364,20 +375,20 @@ class ZeroMeanMeasure:
 
     def _pos_cum_le(self, x):
         idx = bisect_right(self._pos_locs, x)
-        return self._pos_cum[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._pos_cum[idx - 1] if idx else self._zero
 
     def _pos_cum_lt(self, x):
         idx = bisect_left(self._pos_locs, x)
-        return self._pos_cum[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._pos_cum[idx - 1] if idx else self._zero
 
     def _neg_cum_ge(self, x):
         # cumulative over locations >= x (x < 0), i.e. keys <= -x
         idx = bisect_right(self._neg_keys, -x)
-        return self._neg_cum[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._neg_cum[idx - 1] if idx else self._zero
 
     def _neg_cum_gt(self, x):
         idx = bisect_left(self._neg_keys, -x)
-        return self._neg_cum[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._neg_cum[idx - 1] if idx else self._zero
 
     def g(self, x):
         """The cumulative curve ``G`` at ``x`` (extended reals allowed)."""
@@ -541,22 +552,48 @@ class ZeroMeanMeasure:
         y = self.reciprocate(xv, u)
         if self._backend == "analytic":
             return 1.0
-        one = Fraction(1) if self._exact else 1.0
         if xv >= 0:
             if y == NEG_INF or y == 0:
-                return one
+                return self._one
             lower = self._neg_cum_gt(y)   # G(y+), approached from zero
             gy = self._neg_cum_ge(y)      # G(y)
         else:
             if y == INF or y == 0:
-                return one
+                return self._one
             lower = self._pos_cum_lt(y)   # G(y-)
             gy = self._pos_cum_le(y)      # G(y)
         if gy == lower:
-            return one
+            return self._one
         return (h - lower) / (gy - lower)
 
-    # -- atom segment structure -------------------------------------------
+    # -- the canonical pairing ---------------------------------------------
+
+    def _level_table(self) -> LevelTable:
+        """The :class:`LevelTable` of a discrete measure, built once from
+        one merge of the two cumulative lists."""
+        if self._table is None:
+            pos, neg = self._pos_cum, self._neg_cum
+            rows = []
+            lo, i, j = self._zero, 0, 0
+            while i < len(pos) or j < len(neg):
+                hi = min(pos[i:i + 1] + neg[j:j + 1])
+                rows.append((lo, hi, _side_atom(self._neg_locs, j, NEG_INF),
+                             _side_atom(self._pos_locs, i, INF),
+                             j < len(neg), i < len(pos)))
+                while i < len(pos) and pos[i] <= hi:
+                    i += 1
+                while j < len(neg) and neg[j] <= hi:
+                    j += 1
+                lo = hi
+            self._table = LevelTable(*zip(*rows))
+        return self._table
+
+    def _atom_bases(self):
+        """``g_tilde(x, 0)`` at every atom ``x``, in atom order."""
+        zero = [self._zero]
+        neg = (zero + self._neg_cum)[:-1]
+        pos = (zero + self._pos_cum)[:-1]
+        return neg[::-1] + (zero if self._p0 else []) + pos
 
     def u_segments(self, x):
         """Partition of ``u`` in ``(0, 1]`` into maximal pieces on which
@@ -564,55 +601,33 @@ class ZeroMeanMeasure:
 
         Returns a list of ``(u_lo, u_hi, partner)`` triples with the
         convention that a piece covers ``u_lo < u <= u_hi``.  For points
-        that carry no atom the list has a single piece.
+        that carry no atom the list has a single piece.  An atom's pieces
+        are its level range ``(g_tilde(x, 0), g_tilde(x, 1)]`` sliced out
+        of the level table.
         """
         x = _query_number(x)
         if self._backend == "analytic":
             return [(0.0, 1.0, self.reciprocate(x, 1))]
-        zero = Fraction(0) if self._exact else 0.0
-        one = Fraction(1) if self._exact else 1.0
         if x == 0:
-            return [(zero, one, 0)]
+            return [(self._zero, self._one, 0)]
         p = self._mass_map.get(x)
-        if x > 0:
-            if x == INF:
-                return [(zero, one, self.x_minus(self._pos_total))]
-            base = self._pos_cum_lt(x)
-            jump = zero if p is None else x * p
-            levels, partners = self._neg_cum, self._neg_locs
-            opposite_total = self._neg_total
-            far = NEG_INF
-        else:
-            if x == NEG_INF:
-                return [(zero, one, self.x_plus(self._neg_total))]
-            base = self._neg_cum_gt(x)
-            jump = zero if p is None else (-x) * p
-            levels, partners = self._pos_cum, self._pos_locs
-            opposite_total = self._pos_total
-            far = INF
+        jump = self._zero if p is None else abs(x) * p
         if jump == 0:
-            return [(zero, one, self.reciprocate(x, 1))]
-
-        segs = []
-        u_prev = zero
-        j = bisect_right(levels, base)
-        while j < len(levels) and levels[j] < base + jump:
-            u_j = (levels[j] - base) / jump
-            if u_j > u_prev:
-                segs.append((u_prev, u_j, partners[j]))
-                u_prev = u_j
-            j += 1
-        if u_prev < 1:
-            if j < len(levels):
-                partner = partners[j]
-            else:
-                overflow = base + jump - opposite_total
-                allow = self._slack if self._exact \
-                    else self._slack + 1e-12 * float(self._m)
-                partner = (partners[-1] if partners else far) \
-                    if overflow <= allow else far
-            segs.append((u_prev, one, partner))
-        return segs
+            return [(self._zero, self._one, self.reciprocate(x, 1))]
+        table = self._level_table()
+        if x > 0:
+            base, partners = self._pos_cum_lt(x), table.a
+        else:
+            base, partners = self._neg_cum_gt(x), table.b
+        # a float jump too small to move the cumulative sum has no piece
+        # of its own and takes the one just above its base
+        first = min(bisect_right(table.hi, base), len(table.hi) - 1)
+        last = bisect_left(table.hi, base + jump, first)
+        cuts = [self._zero, *((h - base) / jump for h in table.hi[first:last]),
+                self._one]
+        return [(u_lo, u_hi, r) for u_lo, u_hi, r
+                in zip(cuts, cuts[1:], partners[first:last + 1])
+                if u_hi > u_lo]
 
     # -- exact level identities -------------------------------------------
 
@@ -620,28 +635,24 @@ class ZeroMeanMeasure:
         """``E[X 1{X > 0, g_tilde(X, U) <= h}]``; equals ``min(h, m)``."""
         h = _check_level(h)
         self._require_discrete("h_plus")
-        total = Fraction(0) if self._exact else 0.0
-        prev = total
-        for cum in self._pos_cum:
-            if h >= cum:
-                total = total + (cum - prev)
-            elif h > prev:
-                total = total + (h - prev)
-            prev = cum
-        return total
+        return self._mass_below(self._pos_cum, h)
 
     def h_minus(self, h):
         """Mirror of :meth:`h_plus` on the negative side."""
         h = _check_level(h)
         self._require_discrete("h_minus")
-        total = Fraction(0) if self._exact else 0.0
-        prev = total
-        for cum in self._neg_cum:
-            if h >= cum:
-                total = total + (cum - prev)
+        return self._mass_below(self._neg_cum, h)
+
+    def _mass_below(self, cum, h):
+        """The part of one side's cumulative list ``cum`` at levels up to
+        ``h``, summed piece by piece."""
+        total = prev = self._zero
+        for level in cum:
+            if h >= level:
+                total = total + (level - prev)
             elif h > prev:
                 total = total + (h - prev)
-            prev = cum
+            prev = level
         return total
 
     # -- distribution queries ---------------------------------------------
@@ -654,14 +665,14 @@ class ZeroMeanMeasure:
                 raise InputError("this analytic measure carries no cdf")
             return float(self._cdf_fn(float(x)))
         idx = bisect_right(self._locs, x)
-        return self._cummass[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._cummass[idx - 1] if idx else self._zero
 
     def cdf_left(self, x):
         """``P(X < x)``."""
         x = _query_number(x)
         self._require_discrete("cdf_left")
         idx = bisect_left(self._locs, x)
-        return self._cummass[idx - 1] if idx else (Fraction(0) if self._exact else 0.0)
+        return self._cummass[idx - 1] if idx else self._zero
 
     def f_tilde(self, x, u):
         """Randomized distribution transform ``F(x-) + u (F(x) - F(x-))``;

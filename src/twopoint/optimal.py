@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 
 from scipy import integrate
 
-from .disintegration import (MixtureDecomposition, TwoPointLaw, _level_laws,
-                             decompose, tilt, two_point)
+from .disintegration import (MixtureDecomposition, _level_laws, decompose,
+                             tilt, two_point)
 from .errors import (BadP, InputError, NotADisintegration, NotSuperadditive,
                      OptimalityViolated, UnsupportedMarginals)
 from .measure import ZeroMeanMeasure, _as_number
@@ -173,40 +173,13 @@ def cost_from_spec(obj: dict) -> CostFunction:
 
 # --- alternative representations ------------------------------------------
 
-@dataclass(frozen=True)
-class AlternativeDisintegration:
-    """A validated mixture of zero-mean two-point laws.
-
-    ``components`` are ``(weight, TwoPointLaw)`` pairs summing to the
-    represented measure."""
-
-    components: tuple
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def to_jsonable(self) -> dict:
-        return {"components": [{"w": w, "a": law.a, "b": law.b}
-                               for w, law in self.components]}
-
-
-def _accumulated_atoms(components) -> dict:
-    acc: dict = {}
-    for w, law in components:
-        if law.is_degenerate:
-            acc[law.a] = acc.get(law.a, 0) + w
-            continue
-        acc[law.a] = acc.get(law.a, 0) + w * law.p_a
-        acc[law.b] = acc.get(law.b, 0) + w * law.p_b
-    return acc
+#: alternatives share the container of the canonical mixture
+AlternativeDisintegration = MixtureDecomposition
 
 
 def alternative_disintegration(measure: ZeroMeanMeasure, components,
                                *, tol: float = 1e-9
-                               ) -> AlternativeDisintegration:
+                               ) -> MixtureDecomposition:
     """Validate ``(weight, a, b)`` triples as a representation of
     ``measure``; each pair carries the unique zero-mean two-point law,
     and the weighted atoms must reassemble the measure (exactly for
@@ -228,7 +201,8 @@ def alternative_disintegration(measure: ZeroMeanMeasure, components,
     if abs(float(total) - 1.0) > tol:
         raise NotADisintegration(f"weights sum to {float(total)!r}, not 1")
 
-    acc = _accumulated_atoms(built)
+    alt = MixtureDecomposition(tuple(built))
+    acc = alt.reassembled_atoms()
     target = dict(measure.atoms)
     all_exact = measure.is_exact and all(
         not isinstance(v, float) for v in acc) and all(
@@ -247,15 +221,14 @@ def alternative_disintegration(measure: ZeroMeanMeasure, components,
                 raise NotADisintegration(
                     f"mass mismatch at {k!r}: "
                     f"{facc.get(k, 0.0)!r} vs {ftar.get(k, 0.0)!r}")
-    return AlternativeDisintegration(tuple(built))
+    return alt
 
 
 def canonical_disintegration(measure: ZeroMeanMeasure
-                             ) -> AlternativeDisintegration:
+                             ) -> MixtureDecomposition:
     """The representation induced by the paired inverses, in the same
     container as the alternatives."""
-    dec: MixtureDecomposition = decompose(measure)
-    return AlternativeDisintegration(tuple(dec.components))
+    return decompose(measure)
 
 
 def tilted_weights(alt, m=None, *, tol: float = 1e-9):
@@ -351,7 +324,7 @@ def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction, alt, *,
     """Compare the canonical representation against an alternative on
     one cost; with ``enforce`` a violated inequality raises
     :class:`~twopoint.errors.OptimalityViolated`."""
-    if not isinstance(alt, AlternativeDisintegration):
+    if not isinstance(alt, MixtureDecomposition):
         alt = alternative_disintegration(measure, alt)
     weights = tilted_weights(alt, measure.m)
     alt_val = sum(nu * cost(law.b, -law.a)
@@ -389,7 +362,7 @@ class NormReport:
 def norm_report(measure: ZeroMeanMeasure, alt) -> NormReport:
     """Compare a representative panel of costs: endpoint gap, width
     powers, and the endpoint ratio."""
-    if not isinstance(alt, AlternativeDisintegration):
+    if not isinstance(alt, MixtureDecomposition):
         alt = alternative_disintegration(measure, alt)
     panel = (neg_abs_diff_pow(1), neg_abs_diff_pow(2), abs_sum_pow(1),
              abs_sum_pow(2), ratio_pow(1))

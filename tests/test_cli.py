@@ -1,11 +1,13 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twopoint import cli
+from twopoint import ZeroMeanMeasure, cli, decompose, ratio_moments
 
 EXAMPLE = {"atoms": [[-1, "5/10"], [0, "1/10"], [1, "3/10"], [2, "1/10"]]}
 FOUR = {"atoms": [[-2, "1/10"], [-1, "4/10"], [1, "4/10"], [2, "1/10"]]}
@@ -184,3 +186,70 @@ class TestOutputFile:
         assert out == ""
         data = json.loads(dst.read_text())
         assert as_float(data["m"]) == 0.5
+
+
+def exact_atoms(mu):
+    return {"atoms": [[str(loc), str(mass)] for loc, mass in mu.atoms]}
+
+
+def wide_measure():
+    """1001 integer atoms: the exact ratio moment has a denominator of
+    about 30 000 bits, far past the int-to-str digit limit."""
+    rng = np.random.default_rng([201, 0])
+    return ZeroMeanMeasure.from_samples(
+        rng.integers(-500, 501, 20_000).tolist())
+
+
+class TestExactOracle:
+    def test_verify_keeps_exact_levels(self, tmp_path, capsys):
+        mu = ZeroMeanMeasure.from_samples(
+            [-2, 5, 0, -9, 4, 8, -6, -4, 0, -6, 1])
+        src = write_json(tmp_path / "mu.json", exact_atoms(mu))
+        code, out, _ = run(capsys, ["verify", "--input", src])
+        assert code == 0
+        assert json.loads(out)["checks"]["v_involution"] is True
+
+    def test_disintegrate_renders_huge_rationals(self, tmp_path, capsys):
+        mu = wide_measure()
+        src = write_json(tmp_path / "mu.json", exact_atoms(mu))
+        code, out, _ = run(capsys, ["disintegrate", "--input", src])
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)
+            er_over_x = Fraction(data["er_over_x"])
+            weights = [Fraction(c["w"])
+                       for c in data["decomposition"]["components"]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert er_over_x == ratio_moments(mu).er_over_x
+        assert weights == [w for w, _ in decompose(mu)]
+
+
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["disintegrate"], '{"atoms": [[-1, 0.5], [1, 0.' + HUGE + ']]}'),
+    (["verify"], '{"atoms": [[-1, 0.5], [' + HUGE + ', 0.5]]}'),
+    (["disintegrate"], None),
+    (["disintegrate"], "{not json"),
+    (["disintegrate"], '{"atoms": [[NaN, 0.5], [1, 0.5]]}'),
+    (["verify"], '{"atoms": [[-Infinity, 0.5], [1, 0.5]]}'),
+    (["disintegrate"], '{"atoms": [["inf", 0.5], [1, 0.5]]}'),
+], ids=["huge-decimal", "huge-int", "huge-output", "malformed",
+        "nan", "infinity", "inf-string"])
+def test_no_traceback(tmp_path, capsys, argv, text):
+    src = tmp_path / "mu.json"
+    src.write_text(text if text is not None
+                   else json.dumps(exact_atoms(wide_measure())))
+    # an exception escaping main would print a traceback and fail here
+    try:
+        code = cli.main([*argv, "--input", str(src)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1

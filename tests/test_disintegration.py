@@ -12,8 +12,8 @@ from twopoint import (MIXTURE_MODES, MixtureDecomposition, ZeroMeanMeasure,
                       mixture_expect, ratio_moments, sample_pairs,
                       side_masses_from_levels, tilt, two_point,
                       uniformity_check)
-from twopoint.errors import (DimensionMismatch, InputError, NotDiscrete,
-                             SameSign)
+from twopoint.errors import (DimensionMismatch, InfiniteEndpoint,
+                             InputError, NotDiscrete, SameSign)
 
 
 class TestTwoPoint:
@@ -175,3 +175,62 @@ class TestSamplingAndTilts:
         with pytest.raises(DimensionMismatch):
             joint_disintegrate([four_atom, third_discrete],
                                lambda a, b: a * b, 100, rng)
+
+
+@st.composite
+def integer_samples(draw):
+    """Small integer samples with repeats: cumulative levels of the two
+    sides often coincide, and pieces end exactly on them."""
+    vals = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=12))
+    assume(len(set(vals)) > 1)
+    return vals
+
+
+class TestLevelTable:
+    @given(integer_samples(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_sample_pairs_match_exact_reciprocate(self, vals, seed):
+        mu = ZeroMeanMeasure.from_samples(vals)
+        exact = {float(loc): loc for loc, _ in mu.atoms}
+        xs, rs, us = sample_pairs(mu, 300, np.random.default_rng(seed))
+        for x, r, u in zip(xs, rs, us):
+            assert r == float(mu.reciprocate(exact[x], F(u)))
+
+    @given(integer_samples())
+    @settings(max_examples=60)
+    def test_segments_end_on_exact_levels(self, vals):
+        mu = ZeroMeanMeasure.from_samples(vals)
+        for loc, _ in mu.atoms:
+            segs = mu.u_segments(loc)
+            assert segs[0][0] == 0 and segs[-1][1] == 1
+            for (_, stop, _), (start, _, _) in zip(segs, segs[1:]):
+                assert stop == start
+            for start, stop, partner in segs:
+                # pieces are half-open on the left: u = stop is inside
+                assert mu.reciprocate(loc, stop) == partner
+                assert mu.reciprocate(loc, (start + stop) / 2) == partner
+
+    @given(integer_samples())
+    @settings(max_examples=60)
+    def test_decompose_reassembles_exactly(self, vals):
+        mu = ZeroMeanMeasure.from_samples(vals)
+        dec = decompose(mu)
+        assert sum(w for w, _ in dec) == 1
+        assert dec.reassembled_atoms() == dict(mu.atoms)
+
+    @given(integer_samples())
+    @settings(max_examples=60)
+    def test_loose_mean_tolerance_weights_sum_to_one(self, vals):
+        assume(min(vals) < 0 < max(vals))
+        mu = ZeroMeanMeasure.from_samples(vals, recentre=False,
+                                          mean_tolerance=10)
+        assert sum(w for w, _ in decompose(mu)) == 1
+
+    def test_one_sided_measure(self, rng):
+        mu = ZeroMeanMeasure.from_atoms([(0, "1/2"), (1, "1/2")],
+                                        mean_tolerance=1)
+        with pytest.raises(InfiniteEndpoint):
+            decompose(mu)
+        xs, rs, _ = sample_pairs(mu, 1000, rng)
+        assert np.all(rs[xs > 0] == -np.inf)
+        assert np.all(rs[xs == 0] == 0.0)
