@@ -96,16 +96,18 @@ def load_measure(path: str) -> ZeroMeanMeasure:
 
 def load_samples(path: str) -> np.ndarray:
     """One value per line (commas also accepted)."""
-    text = _read_text(path)
-    vals = []
-    for token in text.replace(",", "\n").split():
-        try:
-            vals.append(float(token))
-        except ValueError:
-            raise InputError(f"not a number in sample input: {token!r}")
-    if not vals:
+    tokens = _read_text(path).replace(",", "\n").split()
+    if not tokens:
         raise InputError("sample input is empty")
-    return np.array(vals)
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                raise InputError(f"not a number in sample input: {token!r}")
+        raise
 
 
 def _parse_grid(spec: str):
@@ -231,10 +233,11 @@ def _cmd_model(args, out) -> int:
 def _cmd_optimal(args, out) -> int:
     mu = load_measure(args.input)
     alt_obj = _load_json(args.alt)
-    if not (isinstance(alt_obj, dict) and "components" in alt_obj):
+    try:
+        triples = [(c["w"], c["a"], c["b"]) for c in alt_obj["components"]]
+    except (KeyError, TypeError):
         raise InputError("alternative must be "
                          '{"components": [{"w", "a", "b"}, ...]}')
-    triples = [(c["w"], c["a"], c["b"]) for c in alt_obj["components"]]
     alt = optimal.alternative_disintegration(mu, triples)
     marg = optimal.marginal_check(mu, alt)
     payload = {
@@ -243,7 +246,11 @@ def _cmd_optimal(args, out) -> int:
         "tilted_weights": list(optimal.tilted_weights(alt, mu.m)),
     }
     if args.cost is not None:
-        cost = optimal.cost_from_spec(json.loads(args.cost))
+        try:
+            spec = json.loads(args.cost)
+        except ValueError as exc:
+            raise InputError(f"could not parse --cost as JSON: {exc}")
+        cost = optimal.cost_from_spec(spec)
         payload["comparison"] = optimal.cost_compare(
             mu, cost, alt).to_jsonable()
     else:

@@ -28,7 +28,8 @@ from .errors import (
     SameSign,
     Unbounded,
 )
-from .measure import INF, NEG_INF, ZeroMeanMeasure, _as_number, _query_number
+from .measure import (INF, NEG_INF, ZeroMeanMeasure, _approx, _as_number,
+                      _query_number, _shown)
 
 __all__ = [
     "TwoPointLaw",
@@ -97,7 +98,8 @@ def two_point(a, b) -> TwoPointLaw:
     if a > b:
         a, b = b, a
     if a * b > 0:
-        raise SameSign(f"endpoints {a!r}, {b!r} lie on the same side of zero")
+        raise SameSign(f"endpoints {_shown(a)}, {_shown(b)} lie on the same "
+                       "side of zero")
     exact = isinstance(a, Fraction) and isinstance(b, Fraction)
     if a * b == 0:
         zero = Fraction(0) if exact else 0.0
@@ -146,11 +148,12 @@ class MixtureDecomposition:
         for entry in obj["components"]:
             w = _as_number(entry["w"])
             if w <= 0:
-                raise InputError(f"component weight must be positive: {entry!r}")
+                raise InputError("component weight must be positive: "
+                                 f"{_shown(entry)}")
             comps.append((w, two_point(entry["a"], entry["b"])))
         total = sum(w for w, _ in comps)
         if abs(total - 1) > 1e-9:
-            raise InputError(f"component weights sum to {float(total)!r}")
+            raise InputError(f"component weights sum to {_approx(total)}")
         return cls(tuple(comps))
 
 
@@ -181,8 +184,8 @@ def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
     for x, partner, w in _ordered_pieces(measure):
         if partner == INF or partner == NEG_INF:
             raise InfiniteEndpoint(
-                f"atom {x!r} pairs with an infinite partner; the measure "
-                "has no atoms on the other side")
+                f"atom {_shown(x)} pairs with an infinite partner; the "
+                "measure has no atoms on the other side")
         key = (x, partner) if x <= partner else (partner, x)
         weights[key] = weights.get(key, 0) + w
     comps = tuple((weights[key], two_point(*key)) for key in sorted(weights))

@@ -92,6 +92,12 @@ class AsymmetryViolated(InputError):
     """Observed positive/negative ratio exceeds the certified bound."""
 
 
+class NotLogConcave(TwopointError):
+    """The computed Bernoulli log-tail is not concave, so its log-linear
+    interpolation would not majorize it; a numerical problem, not bad
+    input."""
+
+
 class InfiniteGamma(TwopointError):
     """No finite asymmetry ratio exists for this measure."""
 

@@ -36,7 +36,9 @@ Conventions relied on by the other modules:
 from __future__ import annotations
 
 import math
+import reprlib
 from bisect import bisect_left, bisect_right
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -66,6 +68,34 @@ MASS_SUM_TOL = 1e-12
 MEAN_TOL_FACTOR = 1e-9
 
 
+class _Brief(reprlib.Repr):
+    """``repr`` for error messages that quote input: long strings and
+    containers are cut short, and a rational too long to print whole (its
+    terms can pass the int-to-str digit limit) shows as ``~`` and its
+    17-digit decimal value."""
+
+    def repr_Fraction(self, x, level):
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) <= 256:
+            return repr(x)
+        ctx = Context(prec=17, Emax=MAX_EMAX, Emin=MIN_EMIN)
+        value = ctx.divide(Decimal(x.numerator), x.denominator)
+        return f"~{value.normalize(ctx)}"
+
+    repr_int = repr_Fraction
+
+
+_shown = _Brief().repr
+
+
+def _approx(x) -> str:
+    """A number as a float for error messages, or as :func:`_shown` past
+    the float range."""
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return _shown(x)
+
+
 def _as_number(value):
     """Convert ``value`` to an exact Fraction when possible, else a float.
 
@@ -82,7 +112,8 @@ def _as_number(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse {value!r} as a rational") from exc
+            raise InputError(
+                f"cannot parse {_shown(value)} as a rational") from exc
     if isinstance(value, (float, np.floating)):
         return float(value)
     raise InputError(f"unsupported numeric type: {type(value).__name__}")
@@ -99,14 +130,14 @@ def _query_number(x):
 def _check_u(u):
     v = _query_number(u)
     if not 0 <= v <= 1:
-        raise InputError(f"u must lie in [0, 1], got {u!r}")
+        raise InputError(f"u must lie in [0, 1], got {_shown(u)}")
     return v
 
 
 def _check_level(h):
     v = _query_number(h)
     if v < 0:
-        raise NegativeH(f"level must be nonnegative, got {h!r}")
+        raise NegativeH(f"level must be nonnegative, got {_shown(h)}")
     return v
 
 
@@ -170,7 +201,8 @@ class ZeroMeanMeasure:
             try:
                 loc, mass = entry
             except (TypeError, ValueError) as exc:
-                raise InputError(f"atom entry {entry!r} is not a pair") from exc
+                raise InputError(
+                    f"atom entry {_shown(entry)} is not a pair") from exc
             loc = _as_number(loc)
             mass = _as_number(mass)
             if isinstance(loc, float) and not math.isfinite(loc):
@@ -178,7 +210,8 @@ class ZeroMeanMeasure:
             if isinstance(mass, float) and not math.isfinite(mass):
                 raise BadMass(f"atom mass must be finite, got {mass!r}")
             if mass <= 0:
-                raise BadMass(f"atom mass must be positive, got {mass!r}")
+                raise BadMass(
+                    f"atom mass must be positive, got {_shown(mass)}")
             pairs.append((loc, mass))
         if not pairs:
             raise EmptySample("no atoms supplied")
@@ -195,7 +228,7 @@ class ZeroMeanMeasure:
 
         total = sum(masses)
         if abs(total - 1) > MASS_SUM_TOL:
-            raise BadMass(f"masses sum to {float(total)!r}, expected 1")
+            raise BadMass(f"masses sum to {_approx(total)}, expected 1")
 
         mean = sum(l * p for l, p in zip(locs, masses))
         if recentre and mean != 0:
@@ -211,7 +244,7 @@ class ZeroMeanMeasure:
             tol = _as_number(mean_tolerance)
         if abs(mean) > tol:
             raise NonZeroMean(
-                f"mean is {float(mean)!r}, beyond tolerance {float(tol)!r}")
+                f"mean is {_approx(mean)}, beyond tolerance {_approx(tol)}")
 
         return cls(_backend="discrete", locs=locs, masses=masses, exact=exact)
 
@@ -255,12 +288,13 @@ class ZeroMeanMeasure:
         """
         m = _as_number(m)
         if not m > 0:
-            raise InputError(f"half mean must be positive, got {m!r}")
+            raise InputError(f"half mean must be positive, got {_shown(m)}")
         lo, hi = support
         lo = _query_number(lo)
         hi = _query_number(hi)
         if not (lo < 0 < hi):
-            raise InputError(f"support must straddle zero, got {support!r}")
+            raise InputError(
+                f"support must straddle zero, got {_shown(support)}")
         return cls(_backend="analytic", g=g, m=m, lo=lo, hi=hi,
                    cdf=cdf, quantile=quantile)
 
@@ -370,38 +404,26 @@ class ZeroMeanMeasure:
             return float(self._m)
         val = float(self._g_raw(float(x)))
         if math.isnan(val):
-            raise InputError(f"cumulative evaluator returned nan at {x!r}")
+            raise InputError(
+                f"cumulative evaluator returned nan at {_shown(x)}")
         return min(max(val, 0.0), float(self._m))
 
-    def _pos_cum_le(self, x):
-        idx = bisect_right(self._pos_locs, x)
-        return self._pos_cum[idx - 1] if idx else self._zero
-
-    def _pos_cum_lt(self, x):
-        idx = bisect_left(self._pos_locs, x)
-        return self._pos_cum[idx - 1] if idx else self._zero
-
-    def _neg_cum_ge(self, x):
-        # cumulative over locations >= x (x < 0), i.e. keys <= -x
-        idx = bisect_right(self._neg_keys, -x)
-        return self._neg_cum[idx - 1] if idx else self._zero
-
-    def _neg_cum_gt(self, x):
-        idx = bisect_left(self._neg_keys, -x)
-        return self._neg_cum[idx - 1] if idx else self._zero
+    def _cum(self, x, closed: bool):
+        """Discrete ``G`` over the atoms on the side of ``x`` strictly
+        between zero and ``x``, or up to ``x`` itself when ``closed``."""
+        find = bisect_right if closed else bisect_left
+        if x >= 0:
+            idx, cum = find(self._pos_locs, x), self._pos_cum
+        else:
+            idx, cum = find(self._neg_keys, -x), self._neg_cum
+        return cum[idx - 1] if idx else self._zero
 
     def g(self, x):
         """The cumulative curve ``G`` at ``x`` (extended reals allowed)."""
         x = _query_number(x)
         if self._backend == "analytic":
             return self._g_eval(x)
-        if x >= 0:
-            if x == INF:
-                return self._pos_total
-            return self._pos_cum_le(x)
-        if x == NEG_INF:
-            return self._neg_total
-        return self._neg_cum_ge(x)
+        return self._cum(x, True)
 
     def g_tilde(self, x, u):
         """Randomized cumulative curve: the jump of G at an atom ``x`` is
@@ -410,17 +432,9 @@ class ZeroMeanMeasure:
         x = _query_number(x)
         if self._backend == "analytic":
             return self._g_eval(x)
-        if x >= 0:
-            if x == INF:
-                return self._pos_total
-            base = self._pos_cum_lt(x)
-            p = self._mass_map.get(x)
-            return base if (p is None or x == 0) else base + x * p * u
-        if x == NEG_INF:
-            return self._neg_total
-        base = self._neg_cum_gt(x)
+        base = self._cum(x, False)
         p = self._mass_map.get(x)
-        return base if p is None else base + (-x) * p * u
+        return base if (p is None or x == 0) else base + abs(x) * p * u
 
     # -- generalized inverses ---------------------------------------------
 
@@ -430,7 +444,7 @@ class ZeroMeanMeasure:
         if h == 0:
             return 0
         if self._backend == "analytic":
-            return self._invert_pos(h)
+            return self._invert(h, 1)
         idx = bisect_left(self._pos_cum, h)
         if idx == len(self._pos_cum):
             return INF
@@ -442,7 +456,7 @@ class ZeroMeanMeasure:
         if h == 0:
             return 0
         if self._backend == "analytic":
-            return self._invert_neg(h)
+            return self._invert(h, -1)
         idx = bisect_left(self._neg_cum, h)
         if idx == len(self._neg_cum):
             return NEG_INF
@@ -451,29 +465,35 @@ class ZeroMeanMeasure:
     #: relative bisection tolerance for analytic inverses
     _BISECT_EPS = 1e-12
 
-    def _invert_pos(self, h: float) -> float:
+    def _invert(self, h: float, sign: int) -> float:
+        """``x_plus(h)`` (``sign = 1``) or ``x_minus(h)`` (``sign = -1``)
+        of the analytic curve: ``sign`` times the smallest ``y >= 0`` with
+        ``G(sign y) >= h``, by bisection in ``y``."""
+        def at(y):
+            return sign * y + 0.0  # + 0.0 turns -0.0 into 0.0
+
         m = float(self._m)
         h = float(h)
         if h > m:
-            return INF
-        hi = self._hi
-        if hi == INF:
+            return sign * INF
+        end = self._hi if sign > 0 else -self._lo
+        if end == INF:
             if h >= m:
                 # unbounded support: G stays strictly below m at finite x
-                return INF
+                return sign * INF
             hi = 1.0
-            while self._g_eval(hi) < h:
+            while self._g_eval(at(hi)) < h:
                 hi *= 2.0
                 if hi > 1e300:
-                    return INF
+                    return sign * INF
         else:
-            hi = float(hi)
-            ghi = self._g_eval(hi)
+            hi = float(end)
+            ghi = self._g_eval(at(hi))
             if ghi < h:
                 if h - ghi <= 1e-9 * max(1.0, m):
                     h = ghi  # absorb evaluator round-off at the endpoint
                 else:
-                    return INF
+                    return sign * INF
         lo = 0.0
         if self._g_eval(lo) >= h:
             return lo
@@ -481,47 +501,11 @@ class ZeroMeanMeasure:
             if hi - lo <= self._BISECT_EPS * (1.0 + abs(hi)):
                 break
             mid = 0.5 * (lo + hi)
-            if self._g_eval(mid) >= h:
+            if self._g_eval(at(mid)) >= h:
                 hi = mid
             else:
                 lo = mid
-        return hi
-
-    def _invert_neg(self, h: float) -> float:
-        m = float(self._m)
-        h = float(h)
-        if h > m:
-            return NEG_INF
-        lo = self._lo
-        if lo == NEG_INF:
-            if h >= m:
-                return NEG_INF
-            lo = -1.0
-            while self._g_eval(lo) < h:
-                lo *= 2.0
-                if lo < -1e300:
-                    return NEG_INF
-        else:
-            lo = float(lo)
-            glo = self._g_eval(lo)
-            if glo < h:
-                if h - glo <= 1e-9 * max(1.0, m):
-                    h = glo
-                else:
-                    return NEG_INF
-        hi = 0.0
-        if self._g_eval(hi) >= h:
-            return hi
-        # G(lo) >= h > G(hi); want the sup of points with G >= h
-        for _ in range(200):
-            if hi - lo <= self._BISECT_EPS * (1.0 + abs(lo)):
-                break
-            mid = 0.5 * (lo + hi)
-            if self._g_eval(mid) >= h:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return at(hi)
 
     # -- reciprocating maps -----------------------------------------------
 
@@ -552,16 +536,10 @@ class ZeroMeanMeasure:
         y = self.reciprocate(xv, u)
         if self._backend == "analytic":
             return 1.0
-        if xv >= 0:
-            if y == NEG_INF or y == 0:
-                return self._one
-            lower = self._neg_cum_gt(y)   # G(y+), approached from zero
-            gy = self._neg_cum_ge(y)      # G(y)
-        else:
-            if y == INF or y == 0:
-                return self._one
-            lower = self._pos_cum_lt(y)   # G(y-)
-            gy = self._pos_cum_le(y)      # G(y)
+        if y == 0 or y == INF or y == NEG_INF:
+            return self._one
+        lower = self._cum(y, False)  # G just short of y
+        gy = self._cum(y, True)
         if gy == lower:
             return self._one
         return (h - lower) / (gy - lower)
@@ -615,10 +593,8 @@ class ZeroMeanMeasure:
         if jump == 0:
             return [(self._zero, self._one, self.reciprocate(x, 1))]
         table = self._level_table()
-        if x > 0:
-            base, partners = self._pos_cum_lt(x), table.a
-        else:
-            base, partners = self._neg_cum_gt(x), table.b
+        base = self._cum(x, False)
+        partners = table.a if x > 0 else table.b
         # a float jump too small to move the cumulative sum has no piece
         # of its own and takes the one just above its base
         first = min(bisect_right(table.hi, base), len(table.hi) - 1)
@@ -758,5 +734,5 @@ class ZeroMeanMeasure:
             raise InputError("measure object must carry an 'atoms' list")
         for entry in atoms:
             if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-                raise InputError(f"atom entry {entry!r} is not a pair")
+                raise InputError(f"atom entry {_shown(entry)} is not a pair")
         return cls.from_atoms(atoms, **kwargs)

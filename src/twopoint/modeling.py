@@ -549,31 +549,29 @@ def validate_x_pm(y_plus: Callable[[float], float],
     p_pos, _ = integrate.quad(lambda h: 1.0 / yp(h), 0.0, m, limit=200)
     p_zero = max(0.0, 1.0 - total)
 
+    def bisect_levels(below) -> tuple:
+        """``(lo, hi)`` after 100 halvings of ``[0, m]`` that keep
+        ``below`` true at ``lo`` and false at ``hi``."""
+        lo, hi = 0.0, m
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
     def level_of_pos(x: float) -> float:
         # sup of levels with y_plus <= x (== inf of levels with y_plus > x)
         if yp(m) <= x:
             return m
-        lo, hi = 0.0, m
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if yp(mid) <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_levels(lambda h: yp(h) <= x)[0]
 
     def level_of_neg(x: float) -> float:
         # G at x < 0: sup of levels with -y_minus <= -x
         if -ym(m) <= -x:
             return m
-        lo, hi = 0.0, m
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if -ym(mid) <= -x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_levels(lambda h: -ym(h) <= -x)[0]
 
     def g_curve(x: float) -> float:
         if x == 0:
@@ -591,17 +589,10 @@ def validate_x_pm(y_plus: Callable[[float], float],
         # inf of levels with y_minus <= x
         if ym(m) > x:
             return 0.0
-        lo, hi = 0.0, m
         if ym(min(1e-12 * m, m)) <= x:
             cut = 0.0
         else:
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if ym(mid) <= x:
-                    hi = mid
-                else:
-                    lo = mid
-            cut = hi
+            cut = bisect_levels(lambda h: not ym(h) <= x)[1]
         mass, _ = integrate.quad(lambda h: -1.0 / ym(h), cut, m, limit=200)
         return mass
 

@@ -29,7 +29,7 @@ from .disintegration import (MixtureDecomposition, _level_laws, decompose,
                              tilt, two_point)
 from .errors import (BadP, InputError, NotADisintegration, NotSuperadditive,
                      OptimalityViolated, UnsupportedMarginals)
-from .measure import ZeroMeanMeasure, _as_number
+from .measure import ZeroMeanMeasure, _approx, _as_number, _shown
 
 __all__ = [
     "CostFunction",
@@ -190,23 +190,22 @@ def alternative_disintegration(measure: ZeroMeanMeasure, components,
         try:
             w, a, b = item
         except (TypeError, ValueError):
-            raise InputError(f"component {item!r} is not a "
+            raise InputError(f"component {_shown(item)} is not a "
                              "(weight, a, b) triple")
         w = _as_number(w)
         if not w > 0:
-            raise NotADisintegration(f"component weight {w!r} must be "
+            raise NotADisintegration(f"component weight {_shown(w)} must be "
                                      "positive")
         built.append((w, two_point(a, b)))
     total = sum(w for w, _ in built)
-    if abs(float(total) - 1.0) > tol:
-        raise NotADisintegration(f"weights sum to {float(total)!r}, not 1")
+    if abs(total - 1) > tol:
+        raise NotADisintegration(f"weights sum to {_approx(total)}, not 1")
 
     alt = MixtureDecomposition(tuple(built))
     acc = alt.reassembled_atoms()
     target = dict(measure.atoms)
-    all_exact = measure.is_exact and all(
-        not isinstance(v, float) for v in acc) and all(
-        not isinstance(k, float) for k in acc)
+    all_exact = measure.is_exact and not any(
+        isinstance(v, float) for v in (*acc, *acc.values()))
     if all_exact:
         if {k: v for k, v in acc.items() if v != 0} != target:
             raise NotADisintegration(

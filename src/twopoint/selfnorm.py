@@ -32,6 +32,7 @@ from .errors import (
     LambdaTooSmall,
     LengthMismatch,
     NotDiscrete,
+    NotLogConcave,
     TooLarge,
 )
 from .measure import ZeroMeanMeasure
@@ -136,19 +137,13 @@ def hoeffding_bound(x) -> float:
 
 # --- exact Bernoulli tail model -------------------------------------------
 
-def _upper_concave_hull(ts: np.ndarray, ys: np.ndarray) -> list:
-    """Indices of the upper concave envelope of the points ``(t, y)``."""
-    hull: list = []
-    for i in range(len(ts)):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            keep = (ys[i1] - ys[i0]) * (ts[i] - ts[i0]) > \
-                   (ys[i] - ys[i0]) * (ts[i1] - ts[i0])
-            if keep:
-                break
-            hull.pop()
-        hull.append(i)
-    return hull
+#: log-tails are interpolated down to 1e-210 only: scipy's ``binom.logsf``
+#: loses accuracy from about e^-550 (1e-239) on, and every tail of at
+#: least 1e-200 then lies on an interpolated piece
+LOG_FLOOR = math.log(1e-210)
+
+#: largest second difference of the kept log-tails read as rounding
+CONCAVITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,9 +151,15 @@ class BernoulliTailModel:
     """Exact tail of ``(B_1 + ... + B_n - n p) / (sqrt(p q) n^(1/(2 lam)))``
     with ``B_i`` Bernoulli(``p``), plus its least log-concave majorant.
 
-    The majorant interpolates log-linearly between support points along
-    the upper concave envelope of the log-tail, is constant one left of
-    the support, and drops to zero immediately right of it.
+    The binomial pmf is log-concave, hence so is its tail: the log-tails
+    at the equally spaced support points are already concave, and the
+    least log-concave majorant of the step tail is their log-linear
+    interpolation.  It is one left of the support and zero right of it.
+    Only the first ``kept`` log-tails, those at least ``LOG_FLOOR``, are
+    interpolated, since ``logsf`` is not accurate far below it.  Past the
+    last kept point the last chord is extrapolated log-linearly, which by
+    concavity stays above the true tail (one when a single point is
+    kept).
     """
 
     n: int
@@ -166,8 +167,7 @@ class BernoulliTailModel:
     lam: float
     support: np.ndarray = field(repr=False)
     log_tails: np.ndarray = field(repr=False)
-    _hull_t: np.ndarray = field(repr=False)
-    _hull_y: np.ndarray = field(repr=False)
+    kept: int = field(repr=False)
 
     def tail(self, x) -> float:
         """``P(T >= x)`` exactly."""
@@ -180,12 +180,17 @@ class BernoulliTailModel:
     def lc_tail(self, x) -> float:
         """Least log-concave majorant of :meth:`tail` at ``x``."""
         x = float(x)
-        if x <= self.support[0]:
+        t, y, k = self.support, self.log_tails, self.kept - 1
+        if x <= t[0]:
             return 1.0
-        if x > self.support[-1]:
+        if x > t[-1]:
             return 0.0
-        y = float(np.interp(x, self._hull_t, self._hull_y))
-        return math.exp(min(y, 0.0))
+        if x <= t[k]:
+            log_tail = float(np.interp(x, t[:k + 1], y[:k + 1]))
+        else:
+            slope = (y[k] - y[k - 1]) / (t[k] - t[k - 1]) if k else 0.0
+            log_tail = float(y[k] + slope * (x - t[k]))
+        return math.exp(min(log_tail, 0.0))
 
 
 def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
@@ -205,9 +210,14 @@ def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
     ks = np.arange(n + 1)
     support = (ks - n * p) / scale
     log_tails = stats.binom.logsf(ks - 1, n, p)
-    hull = _upper_concave_hull(support, log_tails)
-    return BernoulliTailModel(n, p, lam, support, log_tails,
-                              support[hull], log_tails[hull])
+    below = np.flatnonzero(log_tails < LOG_FLOOR)
+    kept = int(below[0]) if below.size else n + 1
+    bend = np.diff(log_tails[:kept], 2)
+    if bend.size and bend.max() > CONCAVITY_TOL:
+        raise NotLogConcave(
+            f"binomial log-tail at n={n}, p={p!r} bends upward by "
+            f"{float(bend.max())!r}")
+    return BernoulliTailModel(n, p, lam, support, log_tails, kept)
 
 
 # --- conservative tests ---------------------------------------------------

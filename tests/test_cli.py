@@ -238,8 +238,12 @@ HUGE = "1" * 5000
     (["disintegrate"], '{"atoms": [[NaN, 0.5], [1, 0.5]]}'),
     (["verify"], '{"atoms": [[-Infinity, 0.5], [1, 0.5]]}'),
     (["disintegrate"], '{"atoms": [["inf", 0.5], [1, 0.5]]}'),
+    (["disintegrate"], '{"atoms": [[-1, 0.5], [1, 0.5], [2, -1e-5000]]}'),
+    (["disintegrate"], '{"atoms": [[-1, 0.5], [1e-5000]]}'),
+    (["verify"], '{"atoms": [[-1, 0.5], [1, 1e400]]}'),
 ], ids=["huge-decimal", "huge-int", "huge-output", "malformed",
-        "nan", "infinity", "inf-string"])
+        "nan", "infinity", "inf-string", "huge-quoted-mass",
+        "huge-quoted-entry", "huge-mass-sum"])
 def test_no_traceback(tmp_path, capsys, argv, text):
     src = tmp_path / "mu.json"
     src.write_text(text if text is not None
@@ -253,3 +257,28 @@ def test_no_traceback(tmp_path, capsys, argv, text):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1
+
+
+ALT = json.dumps({"components": [{"w": "3/10", "a": -2, "b": 1},
+                                 {"w": "3/10", "a": -1, "b": 2},
+                                 {"w": "4/10", "a": -1, "b": 1}]})
+
+
+@pytest.mark.parametrize("alt, extra", [
+    (ALT, ["--cost", "{bad"]),
+    ('{"components": [[1, 2, 3]]}', []),
+    ('{"components": [{"w": -1e-5000, "a": -2, "b": 1}]}', []),
+    ('{"components": [{"w": 1e400, "a": -2, "b": 1}]}', []),
+    ('{"components": [{"w": 1, "a": 1e-5000, "b": 1}]}', []),
+], ids=["malformed-cost", "list-component", "huge-quoted-weight",
+        "huge-weight-sum", "huge-quoted-endpoint"])
+def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
+    src = write_json(tmp_path / "mu.json", FOUR)
+    alt_path = tmp_path / "alt.json"
+    alt_path.write_text(alt)
+    code = cli.main(["optimal", "--input", src, "--alt", str(alt_path),
+                     *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1

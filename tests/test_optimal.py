@@ -59,6 +59,14 @@ class TestDisintegrations:
             alternative_disintegration(symmetric_four,
                                        [("0", -2, 1), ("1", -1, 1)])
 
+    def test_float_weights_on_exact_measure(self):
+        mu = ZeroMeanMeasure.from_atoms(
+            [(-2, "1/10"), (-1, "7/20"), (1, "11/20")])
+        for triples in ([(0.3, -2, 1), (0.7, -1, 1)],
+                        [(F(3, 10), -2, 1), (F(7, 10), -1, 1)]):
+            alt = alternative_disintegration(mu, triples)
+            assert marginal_check(mu, alt).passed
+
     def test_jsonable(self, alt):
         data = alt.to_jsonable()
         assert len(data["components"]) == 3

@@ -5,15 +5,18 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twopoint import (BERNOULLI_CONSTANT, GAUSSIAN_CONSTANT,
                       ZeroMeanMeasure, asymmetry_certificate,
                       bernoulli_tail_model, conservative_test,
                       exact_sign_tail, gaussian_bound, hoeffding_bound,
                       lambda_star, normal_tail, s_w, s_y, sample_pairs)
+from twopoint import selfnorm
 from twopoint.errors import (AsymmetryViolated, BadLambda, BadP, InputError,
                              LambdaTooSmall, LengthMismatch, NotDiscrete,
-                             TooLarge)
+                             NotLogConcave, TooLarge, TwopointError)
 
 
 class TestConstants:
@@ -131,6 +134,92 @@ class TestBernoulliModel:
             bernoulli_tail_model(5, 0.3, -1.0)
         with pytest.raises(InputError):
             bernoulli_tail_model(0, 0.3, 1.0)
+
+
+def _upper_concave_hull(ts: np.ndarray, ys: np.ndarray) -> list:
+    """Indices of the upper concave envelope of the points ``(t, y)``."""
+    hull: list = []
+    for i in range(len(ts)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            keep = (ys[i1] - ys[i0]) * (ts[i] - ts[i0]) > \
+                   (ys[i] - ys[i0]) * (ts[i1] - ts[i0])
+            if keep:
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+def hull_majorant(model, xs):
+    """The majorant as the upper concave hull of the whole log-tail gives
+    it: the reference for the interpolation over the kept prefix."""
+    t, y = model.support, model.log_tails
+    hull = _upper_concave_hull(t, y)
+    with np.errstate(invalid="ignore"):
+        inside = np.exp(np.minimum(np.interp(xs, t[hull], y[hull]), 0.0))
+    return np.where(xs <= t[0], 1.0, np.where(xs > t[-1], 0.0, inside))
+
+
+def check_against_hull(model, grid):
+    lc = np.array([model.lc_tail(x) for x in grid])
+    tail = np.array([model.tail(x) for x in grid])
+    ref = hull_majorant(model, grid)
+    assert (lc >= tail).all()
+    big = ref >= 1e-200
+    assert (np.abs(lc - ref)[big] <= 1e-12 * ref[big]).all()
+    t = model.support
+    assert model.lc_tail(t[0] - 1.0) == 1.0
+    assert model.lc_tail(t[0]) == 1.0
+    assert model.lc_tail(t[-1] + 1.0) == 0.0
+
+
+def support_and_midpoints(t, stride=1):
+    return np.concatenate([t[::stride], ((t[:-1] + t[1:]) / 2)[::stride]])
+
+
+class TestLogConcaveMajorant:
+    @settings(max_examples=40)
+    @given(st.integers(1, 2000), st.floats(0.01, 0.99),
+           st.floats(0.0, 1.0))
+    # logsf is off by up to 0.2 nats here, well above the smallest float
+    @example(320, 0.09375, 0.0)
+    @example(321, 0.09375, 0.0)
+    @example(730, 0.35124563909749795, 0.0)
+    def test_matches_hull(self, n, p, frac):
+        crit = lambda_star(p)
+        model = bernoulli_tail_model(n, p, crit + frac * (4.0 - crit))
+        check_against_hull(model, support_and_midpoints(model.support))
+
+    def test_matches_hull_large(self):
+        model = bernoulli_tail_model(100_000, 0.15, lambda_star(0.15))
+        check_against_hull(model, support_and_midpoints(model.support, 7))
+
+    def test_extrapolates_past_floor(self):
+        model = bernoulli_tail_model(2000, 0.5, 1.0)
+        assert model.kept < len(model.support)
+        t, y, k = model.support, model.log_tails, model.kept - 1
+        slope = (y[k] - y[k - 1]) / (t[k] - t[k - 1])
+        x = t[k] + 3.5 * (t[k] - t[k - 1])
+        assert model.lc_tail(x) == math.exp(y[k] + slope * (x - t[k]))
+
+    def test_tail_below_floor_at_once(self):
+        model = bernoulli_tail_model(1000, 5e-324, 1.0)
+        assert model.kept == 1
+        assert model.lc_tail(model.support[1]) == 1.0
+        assert model.lc_tail(model.support[-1]) >= model.tail(
+            model.support[-1])
+
+    def test_rejects_convex_log_tail(self, monkeypatch):
+        class Convex:
+            @staticmethod
+            def logsf(k, n, p):
+                return -np.sqrt(np.asarray(k, dtype=float) + 1.0)
+
+        monkeypatch.setattr(selfnorm.stats, "binom", Convex)
+        with pytest.raises(NotLogConcave) as exc:
+            bernoulli_tail_model(10, 0.3, 1.0)
+        assert isinstance(exc.value, TwopointError)
 
 
 class TestConservativeTest:
