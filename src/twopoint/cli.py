@@ -23,7 +23,7 @@ import numpy as np
 
 from . import disintegration, estimator, modeling, optimal, selfnorm
 from .errors import InputError, TwopointError
-from .measure import INF, NEG_INF, ZeroMeanMeasure
+from .measure import INF, NEG_INF, ZeroMeanMeasure, _shown
 
 __all__ = ["main", "build_parser"]
 
@@ -142,6 +142,10 @@ def _cmd_disintegrate(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     mu = load_measure(args.input)
+    far = max(mu.support, key=abs)
+    if abs(far) > sys.float_info.max:
+        raise InputError(f"verify compares in floats; atom {_shown(far)} "
+                         "lies beyond the float range")
     m = float(mu.m)
     grid = np.linspace(0.0, 2.0 * m, args.grid)
     h_ok = all(

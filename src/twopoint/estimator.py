@@ -11,8 +11,11 @@ trial mean and percentile bootstrap quantiles of the pivot invert to a
 closed-form interval.
 
 The partner computation is vectorized across bootstrap resamples: all
-rows are sorted at once and the level lookups run through a single
-offset-packed ``searchsorted``.
+rows are sorted at once and each side's cumulative levels are summed
+once.  Levels live on the lattice ``n x - sum(x)``, ``n`` times the
+recentred values, so on integer data a level that meets a cumulative
+level compares exactly.  Each row then looks up its partners with one
+``searchsorted`` per side.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import (BadLambda, BadLevel, ConstantSample, EmptySample,
                      InputError, TooFewResamples)
+from .selfnorm import _ratio, _studentizer
 
 __all__ = [
     "EmpiricalPartners",
@@ -47,58 +51,53 @@ def _as_rows(xs) -> np.ndarray:
         raise EmptySample("empty sample")
     if not np.isfinite(arr).all():
         raise InputError("sample contains non-finite entries")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr.sum()):
+            raise InputError("sample sum overflows the float range")
     return arr
 
 
-def _sorted_partners(S: np.ndarray) -> np.ndarray:
-    """Partners of the entries of row-sorted recentred samples.
-
-    Each entry carries mass ``1/n``; its level is the midpoint of its
-    own slice of the cumulative weight on its side, and the partner is
-    the opposite-side value whose cumulative slice covers that level.
-    Ties resolve themselves: equal values produce evenly spread levels
-    whatever their order."""
-    b, n = S.shape
-    neg_w = np.where(S < 0, -S, 0.0) / n
-    pos_w = np.where(S > 0, S, 0.0) / n
-    # cumulative negative mass from small magnitudes up: suffix sums
-    suf = np.cumsum(neg_w[:, ::-1], axis=1)[:, ::-1]
-    cum = np.cumsum(pos_w, axis=1)
-
-    totals = np.maximum(suf[:, 0], cum[:, -1])
-    step = 2.0 * (float(totals.max(initial=0.0)) + 1.0)
-    offs = step * np.arange(b)[:, None]
-
-    # positive entries look up the negative side
-    h_pos = cum - 0.5 * pos_w
-    rev = suf[:, ::-1]
-    flat = (rev + offs).ravel()
-    q = (np.minimum(h_pos, suf[:, :1]) + offs).ravel()
-    i = np.searchsorted(flat, q, side="left") - np.repeat(
-        np.arange(b) * n, n)
-    j = np.clip(n - 1 - i, 0, n - 1).reshape(b, n)
-    from_neg = np.take_along_axis(S, j, axis=1)
-
-    # negative entries look up the positive side
-    h_neg = suf - 0.5 * neg_w
-    flat = (cum + offs).ravel()
-    q = (np.minimum(h_neg, cum[:, -1:]) + offs).ravel()
-    k = np.searchsorted(flat, q, side="left") - np.repeat(
-        np.arange(b) * n, n)
-    k = np.clip(k, 0, n - 1).reshape(b, n)
-    from_pos = np.take_along_axis(S, k, axis=1)
-
-    return np.where(S > 0, from_neg, np.where(S < 0, from_pos, 0.0))
+def _covering(cum: np.ndarray, w: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Per entry, the index into the cumulative levels ``other`` of the
+    opposite side whose slice covers the midpoint of the entry's own
+    slice ``(cum - w, cum]``, kept within the opposite total."""
+    h = np.minimum(cum - 0.5 * w, other[:, -1:])
+    idx = np.empty(h.shape, dtype=np.intp)
+    for row in range(len(h)):
+        idx[row] = np.searchsorted(other[row], h[row])
+    # a row whose sum overflowed has nan levels, found past the end
+    return np.minimum(idx, h.shape[1] - 1)
 
 
-def _den_rows(Z: np.ndarray, kind: str, lam: float) -> np.ndarray:
-    S = np.sort(Z, axis=1)
-    R = _sorted_partners(S)
-    if kind == "W":
-        W = np.abs(S - R)
-        return 0.5 * np.sqrt((W * W).sum(axis=1))
-    Y = np.abs(S * R)
-    return (Y ** lam).sum(axis=1) ** (1.0 / (2.0 * lam))
+def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
+    """Recentred values and partners of row-sorted raw samples ``D``
+    with row sums ``total``.
+
+    Each entry's level is the midpoint of its own slice of the
+    cumulative lattice weight on its side, and the partner is the
+    opposite-side value whose slice covers that level.  Ties resolve
+    themselves: equal values produce evenly spread levels whatever
+    their order."""
+    n = D.shape[1]
+    S = D - (total / n)[:, None]
+    # the lattice n D - sum(x) = n S is exact on integer data while its
+    # cumulative sums stay below 2^53; an exact power of two scales it
+    # where they could pass the float range, moving no comparison
+    _, e = math.frexp(float(np.abs(D).max(initial=0.0)))
+    shift = min(0, 1021 - e - 2 * n.bit_length())
+    L = math.ldexp(n, shift) * D - np.ldexp(total, shift)[:, None]
+    pos = np.maximum(L, 0.0)
+    neg = np.maximum(-L, 0.0)[:, ::-1]  # outwards from zero
+    up, down = np.cumsum(pos, axis=1), np.cumsum(neg, axis=1)
+    from_neg = np.take_along_axis(S[:, ::-1], _covering(up, pos, down), 1)
+    from_pos = np.take_along_axis(S, _covering(down, neg, up), 1)[:, ::-1]
+    return S, np.where(L > 0, from_neg, np.where(L < 0, from_pos, 0.0))
+
+
+def _den_rows(D: np.ndarray, total: np.ndarray, kind: str,
+              lam: float) -> np.ndarray:
+    S, R = _sorted_partners(D, total)
+    return _studentizer(S, R, None if kind == "W" else lam)
 
 
 def _check_kind(kind: str, lam) -> float:
@@ -133,13 +132,12 @@ def empirical_partners(xs, *, recentre: bool = True) -> EmpiricalPartners:
     With ``recentre`` (the default) the sample mean is subtracted first;
     the values returned are the recentred ones."""
     arr = _as_rows(xs)
-    z = arr - arr.mean() if recentre else arr.copy()
-    order = np.argsort(z, kind="stable")
-    S = z[order][None, :]
-    R = _sorted_partners(S)[0]
-    partners = np.empty_like(z)
-    partners[order] = R
-    return EmpiricalPartners(z, partners)
+    total = np.array([arr.sum() if recentre else 0.0])
+    order = np.argsort(arr, kind="stable")
+    _, R = _sorted_partners(arr[order][None, :], total)
+    partners = np.empty_like(arr)
+    partners[order] = R[0]
+    return EmpiricalPartners(arr - total[0] / arr.size, partners)
 
 
 def denominator(xs, kind: str = "W", lam: float = 1.0) -> float:
@@ -148,11 +146,11 @@ def denominator(xs, kind: str = "W", lam: float = 1.0) -> float:
     (``"Y_lambda"``).  Free of any trial mean by construction."""
     lam = _check_kind(kind, lam)
     arr = _as_rows(xs)
-    z = arr - arr.mean()
-    if not np.any(z != 0.0):
+    if not np.any(arr != arr.mean()):
         raise ConstantSample("constant sample has no spread to "
                              "normalize by")
-    return float(_den_rows(z[None, :], kind, lam)[0])
+    return float(_den_rows(np.sort(arr)[None, :], np.array([arr.sum()]),
+                           kind, lam)[0])
 
 
 def pivot(xs, theta, kind: str = "W", lam: float = 1.0) -> float:
@@ -161,6 +159,19 @@ def pivot(xs, theta, kind: str = "W", lam: float = 1.0) -> float:
     arr = _as_rows(xs)
     den = denominator(arr, kind, lam)
     return float((arr.sum() - arr.size * float(theta)) / den)
+
+
+def _quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """``np.quantile`` with linear interpolation, except that a quantile
+    next to an infinite order statistic is that infinity, where numpy
+    gives nan; the lower neighbour wins between ``-inf`` and ``inf``."""
+    v = np.sort(values)
+    at = (v.size - 1) * np.asarray(probs)
+    below, above = v[np.floor(at).astype(int)], v[np.ceil(at).astype(int)]
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(v, probs)
+    q = np.where(np.isinf(above), above, q)
+    return np.where(np.isinf(below), below, q)
 
 
 @dataclass(frozen=True)
@@ -217,17 +228,12 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
 
     if rng is None:
         rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
-    draws = arr[idx]
-    Z = draws - draws.mean(axis=1, keepdims=True)
-    dens = _den_rows(Z, kind, lam)
-    nums = draws.sum(axis=1) - n * xbar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pivots = np.where(dens > 0.0, nums / np.where(dens > 0.0, dens, 1.0),
-                          np.sign(nums) * math.inf)
-    pivots = np.nan_to_num(pivots, nan=0.0)
+    draws = arr[rng.integers(0, n, size=(resamples, n))]
+    sums = draws.sum(axis=1)
+    draws.sort(axis=1)
+    pivots = _ratio(sums - n * xbar, _den_rows(draws, sums, kind, lam))
     alpha = 1.0 - level
-    q_lo, q_hi = np.quantile(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
+    q_lo, q_hi = _quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
     ci = ((arr.sum() - q_hi * den0) / n, (arr.sum() - q_lo * den0) / n)
     return PivotRun(kind, lam, level, n, resamples, seed, xbar, den0,
                     (float(q_lo), float(q_hi)),

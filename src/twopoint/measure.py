@@ -162,6 +162,21 @@ class LevelTable(NamedTuple):
     b_live: tuple
 
 
+def _bisect(below, lo, hi, tol, steps):
+    """``(lo, hi)`` after at most ``steps`` halvings that keep ``below``
+    true at ``lo`` and false at ``hi``, stopping once ``hi - lo`` is at
+    most ``tol * (1 + |hi|)``."""
+    for _ in range(steps):
+        if hi - lo <= tol * (1.0 + abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _side_atom(locs, k, far):
     """Atom ``k`` of one side, its last atom past the end, or ``far``."""
     return locs[min(k, len(locs) - 1)] if locs else far
@@ -239,7 +254,7 @@ class ZeroMeanMeasure:
         if abs_mean == 0:
             raise DegenerateAtZero("all mass sits at zero")
         if mean_tolerance is None:
-            tol = MEAN_TOL_FACTOR * float(abs_mean)
+            tol = abs_mean * Fraction(MEAN_TOL_FACTOR)
         else:
             tol = _as_number(mean_tolerance)
         if abs(mean) > tol:
@@ -440,35 +455,28 @@ class ZeroMeanMeasure:
 
     def x_plus(self, h):
         """Smallest ``x >= 0`` with ``G(x) >= h`` (``inf`` when none)."""
-        h = _check_level(h)
-        if h == 0:
-            return 0
-        if self._backend == "analytic":
-            return self._invert(h, 1)
-        idx = bisect_left(self._pos_cum, h)
-        if idx == len(self._pos_cum):
-            return INF
-        return self._pos_locs[idx]
+        return self._invert(h, 1)
 
     def x_minus(self, h):
         """Largest ``x <= 0`` with ``G(x) >= h`` (``-inf`` when none)."""
-        h = _check_level(h)
-        if h == 0:
-            return 0
-        if self._backend == "analytic":
-            return self._invert(h, -1)
-        idx = bisect_left(self._neg_cum, h)
-        if idx == len(self._neg_cum):
-            return NEG_INF
-        return self._neg_locs[idx]
+        return self._invert(h, -1)
 
     #: relative bisection tolerance for analytic inverses
     _BISECT_EPS = 1e-12
 
-    def _invert(self, h: float, sign: int) -> float:
-        """``x_plus(h)`` (``sign = 1``) or ``x_minus(h)`` (``sign = -1``)
-        of the analytic curve: ``sign`` times the smallest ``y >= 0`` with
-        ``G(sign y) >= h``, by bisection in ``y``."""
+    def _invert(self, h, sign: int):
+        """``x_plus(h)`` (``sign = 1``) or ``x_minus(h)`` (``sign = -1``).
+        On the analytic curve it is ``sign`` times the smallest ``y >= 0``
+        with ``G(sign y) >= h``, by bisection in ``y``."""
+        h = _check_level(h)
+        if h == 0:
+            return 0
+        if self._backend == "discrete":
+            cum, locs = ((self._pos_cum, self._pos_locs) if sign > 0
+                         else (self._neg_cum, self._neg_locs))
+            idx = bisect_left(cum, h)
+            return locs[idx] if idx < len(cum) else sign * INF
+
         def at(y):
             return sign * y + 0.0  # + 0.0 turns -0.0 into 0.0
 
@@ -494,17 +502,10 @@ class ZeroMeanMeasure:
                     h = ghi  # absorb evaluator round-off at the endpoint
                 else:
                     return sign * INF
-        lo = 0.0
-        if self._g_eval(lo) >= h:
-            return lo
-        for _ in range(200):
-            if hi - lo <= self._BISECT_EPS * (1.0 + abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            if self._g_eval(at(mid)) >= h:
-                hi = mid
-            else:
-                lo = mid
+        if self._g_eval(0.0) >= h:
+            return 0.0
+        _, hi = _bisect(lambda y: self._g_eval(at(y)) < h, 0.0, hi,
+                        self._BISECT_EPS, 200)
         return at(hi)
 
     # -- reciprocating maps -----------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     Lip1Violated,
     NotValidCurve,
 )
-from .measure import INF, NEG_INF, ZeroMeanMeasure
+from .measure import INF, NEG_INF, ZeroMeanMeasure, _bisect
 
 __all__ = [
     "ReciprocatingCurve",
@@ -262,14 +262,7 @@ def _invert_increasing(f: Callable[[float], float], target: float,
         if hi == hi_cap and f(hi) < target:
             break
     lo = 0.0 if hi <= 1.0 else hi / 2.0
-    for _ in range(200):
-        if hi - lo <= tol * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda w: f(w) < target, lo, hi, tol, 200)
     return 0.5 * (lo + hi)
 
 
@@ -549,29 +542,17 @@ def validate_x_pm(y_plus: Callable[[float], float],
     p_pos, _ = integrate.quad(lambda h: 1.0 / yp(h), 0.0, m, limit=200)
     p_zero = max(0.0, 1.0 - total)
 
-    def bisect_levels(below) -> tuple:
-        """``(lo, hi)`` after 100 halvings of ``[0, m]`` that keep
-        ``below`` true at ``lo`` and false at ``hi``."""
-        lo, hi = 0.0, m
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if below(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
     def level_of_pos(x: float) -> float:
         # sup of levels with y_plus <= x (== inf of levels with y_plus > x)
         if yp(m) <= x:
             return m
-        return bisect_levels(lambda h: yp(h) <= x)[0]
+        return _bisect(lambda h: yp(h) <= x, 0.0, m, 0.0, 100)[0]
 
     def level_of_neg(x: float) -> float:
         # G at x < 0: sup of levels with -y_minus <= -x
         if -ym(m) <= -x:
             return m
-        return bisect_levels(lambda h: -ym(h) <= -x)[0]
+        return _bisect(lambda h: -ym(h) <= -x, 0.0, m, 0.0, 100)[0]
 
     def g_curve(x: float) -> float:
         if x == 0:
@@ -592,7 +573,7 @@ def validate_x_pm(y_plus: Callable[[float], float],
         if ym(min(1e-12 * m, m)) <= x:
             cut = 0.0
         else:
-            cut = bisect_levels(lambda h: not ym(h) <= x)[1]
+            cut = _bisect(lambda h: not ym(h) <= x, 0.0, m, 0.0, 100)[1]
         mass, _ = integrate.quad(lambda h: -1.0 / ym(h), cut, m, limit=200)
         return mass
 

@@ -201,6 +201,21 @@ def wide_measure():
 
 
 class TestExactOracle:
+    def test_atoms_beyond_float_range(self, tmp_path, capsys):
+        src = tmp_path / "mu.json"
+        src.write_text(BEYOND_FLOAT)
+        code, out, _ = run(capsys, ["disintegrate", "--input", str(src)])
+        assert code == 0
+        data = json.loads(out)
+        assert Fraction(data["m"]) == 10 ** 400 / Fraction(2)
+        [comp] = data["decomposition"]["components"]
+        assert comp["w"] == "1"
+        src.write_text('{"atoms": [[-1e400, 0.5], [1, 0.5]]}')
+        code, _, err = run(capsys, ["disintegrate", "--input", str(src)])
+        assert code == 1
+        assert err.startswith("error: NonZeroMean")
+        assert len(err.splitlines()) == 1
+
     def test_verify_keeps_exact_levels(self, tmp_path, capsys):
         mu = ZeroMeanMeasure.from_samples(
             [-2, 5, 0, -9, 4, 8, -6, -4, 0, -6, 1])
@@ -228,6 +243,7 @@ class TestExactOracle:
 
 
 HUGE = "1" * 5000
+BEYOND_FLOAT = '{"atoms": [[-1e400, 0.5], [1e400, 0.5]]}'
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -241,9 +257,13 @@ HUGE = "1" * 5000
     (["disintegrate"], '{"atoms": [[-1, 0.5], [1, 0.5], [2, -1e-5000]]}'),
     (["disintegrate"], '{"atoms": [[-1, 0.5], [1e-5000]]}'),
     (["verify"], '{"atoms": [[-1, 0.5], [1, 1e400]]}'),
+    (["disintegrate"], BEYOND_FLOAT),
+    (["disintegrate"], '{"atoms": [[-1e400, 0.5], [1, 0.5]]}'),
+    (["verify"], BEYOND_FLOAT),
 ], ids=["huge-decimal", "huge-int", "huge-output", "malformed",
         "nan", "infinity", "inf-string", "huge-quoted-mass",
-        "huge-quoted-entry", "huge-mass-sum"])
+        "huge-quoted-entry", "huge-mass-sum", "beyond-float-atoms",
+        "beyond-float-mean", "beyond-float-verify"])
 def test_no_traceback(tmp_path, capsys, argv, text):
     src = tmp_path / "mu.json"
     src.write_text(text if text is not None
