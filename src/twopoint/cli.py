@@ -56,7 +56,11 @@ def emit(payload: dict, out) -> None:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(_plain(payload), sort_keys=True, indent=2)
+        text = json.dumps(_plain(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
+    except ValueError as exc:
+        # +-inf render as strings, so only a nan gets here
+        raise InputError(f"result is not representable as JSON: {exc}")
     finally:
         sys.set_int_max_str_digits(limit)
     out.write(text + "\n")

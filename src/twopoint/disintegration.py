@@ -231,47 +231,59 @@ MIXTURE_MODES = ("direct", "u_integral", "h_integral", "ratio_weighted",
                  "half_sum")
 
 
-def _level_laws(measure: ZeroMeanMeasure):
-    """Pieces ``(length, TwoPointLaw)`` of ``h`` on ``(0, m]`` where both
-    sides carry mass: the level table below the smaller one-sided total."""
-    return [(hi - lo, two_point(a, b))
-            for lo, hi, a, b, a_live, b_live in zip(*measure._level_table())
-            if a_live and b_live]
+def _level_integral(measure: ZeroMeanMeasure, f: Callable):
+    """``f(x_minus(h), x_plus(h))`` integrated over the levels ``h`` in
+    ``(0, m)`` where both sides carry mass: an exact sum over the level
+    table of a discrete measure, one quadrature on an analytic one."""
+    if measure.backend == "discrete":
+        return sum((hi - lo) * f(a, b) for lo, hi, a, b, a_live, b_live
+                   in zip(*measure._level_table()) if a_live and b_live)
+
+    def integrand(h):
+        val = f(float(measure.x_minus(h)), float(measure.x_plus(h)))
+        if not math.isfinite(val):
+            raise Unbounded(f"integrand not finite at level {h!r}")
+        return val
+
+    return integrate.quad(integrand, 0.0, float(measure.m), limit=200)[0]
 
 
 def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     """``E g(X)`` computed along one of five equivalent routes.
 
     ``direct``
-        plain sum (discrete) or change-of-variable quadrature (analytic).
+        plain sum over the atoms.
     ``u_integral``
         through the ordered level pieces behind :func:`decompose`.
     ``h_integral``
-        through the level representation: the average of
-        ``E g(X_h) / E max(X_h, 0)`` over ``h`` uniform on ``(0, m)``,
-        plus the mass at zero.
+        through the level representation: the integral over ``h`` in
+        ``(0, m)`` of ``E g(X_h) / E max(X_h, 0)``, which for the law on
+        ``x_minus(h) < 0 < x_plus(h)`` is
+        ``g(x_plus) / x_plus - g(x_minus) / x_minus``, plus the mass at
+        zero.
     ``ratio_weighted``
         ordered pieces reweighted by ``-x / r`` (with ``0 / r`` read
         as ``-1`` at the origin).
     ``half_sum``
         ordered pieces reweighted by ``(1 - x / r) / 2``.
 
-    All five agree exactly on exact discrete measures; on analytic
-    measures they share one quadrature representation.
+    All five agree exactly on exact discrete measures.  On an analytic
+    measure every mode is the ``h_integral`` quadrature, with the mass at
+    zero read off the mass integral of ``1 / x_plus - 1 / x_minus``.
     """
     if mode not in MIXTURE_MODES:
         raise InputError(f"unknown mode {mode!r}; pick one of {MIXTURE_MODES}")
-    if measure.backend != "discrete":
-        return _mixture_expect_analytic(measure, g)
+    if measure.backend != "discrete" or mode == "h_integral":
+        if measure.backend == "discrete":
+            p0 = measure.prob_zero
+        else:
+            p0 = max(0.0, 1.0 - _level_integral(
+                measure, lambda a, b: 1 / b - 1 / a))
+        body = _level_integral(measure, lambda a, b: g(b) / b - g(a) / a)
+        return p0 * g(0) + body if p0 else body
 
     if mode == "direct":
         return sum(p * g(l) for l, p in measure.atoms)
-
-    if mode == "h_integral":
-        total = measure.prob_zero * g(0) if measure.prob_zero else 0
-        for length, law in _level_laws(measure):
-            total = total + length * law.expect(g) / law.mean_positive_part
-        return total
 
     total = 0
     for x, partner, seg in _ordered_pieces(measure):
@@ -287,40 +299,12 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     return total
 
 
-def _mixture_expect_analytic(measure: ZeroMeanMeasure, g: Callable) -> float:
-    m = float(measure.m)
-
-    def integrand(h):
-        xp = float(measure.x_plus(h))
-        xm = float(measure.x_minus(h))
-        val = g(xp) / xp - g(xm) / xm
-        if not math.isfinite(val):
-            raise Unbounded(f"integrand not finite at level {h!r}")
-        return val
-
-    body, _err = integrate.quad(integrand, 0.0, m, limit=200)
-    p_pos, p_neg = side_masses_from_levels(measure)
-    p0 = max(0.0, 1.0 - p_pos - p_neg)
-    return body + p0 * g(0)
-
-
 def side_masses_from_levels(measure: ZeroMeanMeasure):
     """``(P(X > 0), P(X < 0))`` recovered from the level representation:
     the integrals over ``(0, m)`` of ``1 / x_plus`` and ``-1 / x_minus``.
     Exact for discrete measures, quadrature otherwise."""
-    if measure.backend == "discrete":
-        p_pos = 0
-        p_neg = 0
-        for length, law in _level_laws(measure):
-            p_pos = p_pos + length / law.b
-            p_neg = p_neg + length / (-law.a)
-        return p_pos, p_neg
-    m = float(measure.m)
-    p_pos, _ = integrate.quad(lambda h: 1.0 / float(measure.x_plus(h)),
-                              0.0, m, limit=200)
-    p_neg, _ = integrate.quad(lambda h: -1.0 / float(measure.x_minus(h)),
-                              0.0, m, limit=200)
-    return p_pos, p_neg
+    return (_level_integral(measure, lambda a, b: 1 / b),
+            _level_integral(measure, lambda a, b: -1 / a))
 
 
 # --- ratio moments --------------------------------------------------------

@@ -539,30 +539,24 @@ def validate_x_pm(y_plus: Callable[[float], float],
         raise CharacterizationFailed(
             f"mass integral {total!r} exceeds one; no probability measure "
             "has these inverses")
-    p_pos, _ = integrate.quad(lambda h: 1.0 / yp(h), 0.0, m, limit=200)
     p_zero = max(0.0, 1.0 - total)
 
-    def level_of_pos(x: float) -> float:
-        # sup of levels with y_plus <= x (== inf of levels with y_plus > x)
-        if yp(m) <= x:
+    def level_of(y: Callable[[float], float], x: float) -> float:
+        # sup of levels with y <= x (== inf of levels with y > x), for the
+        # nondecreasing y = y_plus or y = -y_minus
+        if y(m) <= x:
             return m
-        return _bisect(lambda h: yp(h) <= x, 0.0, m, 0.0, 100)[0]
-
-    def level_of_neg(x: float) -> float:
-        # G at x < 0: sup of levels with -y_minus <= -x
-        if -ym(m) <= -x:
-            return m
-        return _bisect(lambda h: -ym(h) <= -x, 0.0, m, 0.0, 100)[0]
+        return _bisect(lambda h: y(h) <= x, 0.0, m, 0.0, 100)[0]
 
     def g_curve(x: float) -> float:
         if x == 0:
             return 0.0
-        return level_of_pos(x) if x > 0 else level_of_neg(x)
+        return level_of(yp, x) if x > 0 else level_of(lambda h: -ym(h), -x)
 
     def cdf(x: float) -> float:
         x = float(x)
         if x >= 0:
-            cut = level_of_pos(x)
+            cut = level_of(yp, x)
             if cut >= m:
                 return 1.0
             tail, _ = integrate.quad(lambda h: 1.0 / yp(h), cut, m, limit=200)

@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from scipy import integrate
-
-from .disintegration import (MixtureDecomposition, _level_laws, decompose,
-                             tilt, two_point)
+from .disintegration import (MixtureDecomposition, _level_integral,
+                             decompose, tilt, two_point)
 from .errors import (BadP, InputError, NotADisintegration, NotSuperadditive,
                      OptimalityViolated, UnsupportedMarginals)
 from .measure import ZeroMeanMeasure, _approx, _as_number, _shown
@@ -283,21 +281,10 @@ def marginal_check(measure: ZeroMeanMeasure, alt, *,
 
 def canonical_cost(measure: ZeroMeanMeasure, cost: CostFunction):
     """Average cost of the canonical representation under the level
-    tilt: exact piecewise sums for discrete measures, quadrature for
-    analytic ones."""
-    if measure.backend == "discrete":
-        m = measure.m
-        acc = 0
-        for length, law in _level_laws(measure):
-            acc += length * cost(law.b, -law.a)
-        return acc / m
-    m = float(measure.m)
-
-    def integrand(h):
-        return float(cost(measure.x_plus(h), -measure.x_minus(h)))
-
-    val, _err = integrate.quad(integrand, 0.0, m, limit=200)
-    return val / m
+    tilt, ``(1 / m)`` times the level integral of ``cost(x_plus,
+    -x_minus)``: exact piecewise sums for discrete measures, quadrature
+    for analytic ones."""
+    return _level_integral(measure, lambda a, b: cost(b, -a)) / measure.m
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,21 @@ class TestEstimate:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_nan_result_is_an_error(self, tmp_path, capsys):
+        # the resample sums overflow, so the interval ends are nan, which
+        # JSON cannot carry
+        src = tmp_path / "xs.txt"
+        src.write_text("1.5e308 -1.5e308 1")
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, ["estimate", "--input", str(src),
+                                          "--seed", "1", "--resamples", "100"])
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: InputError: ")
+
 
 class TestOutputFile:
     def test_writes_file(self, tmp_path, capsys):

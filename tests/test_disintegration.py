@@ -1,5 +1,6 @@
 """Two-point mixtures: decomposition, sampling, and the level pieces."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from twopoint import (MIXTURE_MODES, MixtureDecomposition, ZeroMeanMeasure,
                       component_ratio_moment, decompose, joint_disintegrate,
-                      mixture_expect, ratio_moments, sample_pairs,
+                      mixture_expect, norm_report, ratio_moments, sample_pairs,
                       side_masses_from_levels, tilt, two_point,
                       uniformity_check)
 from twopoint.errors import (DimensionMismatch, InfiniteEndpoint,
@@ -101,6 +102,33 @@ class TestMixtureModes:
         p_pos, p_neg = side_masses_from_levels(four_atom)
         assert p_pos == F(2, 5)
         assert p_neg == F(1, 2)
+
+    @given(small_exact_measures())
+    @settings(max_examples=60)
+    def test_level_integrals_exact(self, mu):
+        assert side_masses_from_levels(mu) == (mu.prob_positive,
+                                               mu.prob_negative)
+        # against the canonical mixture taken as an alternative, every
+        # panel cost must come out exactly the same
+        for row in norm_report(mu, decompose(mu)).rows:
+            assert row.canonical == row.alternative
+
+    def test_analytic_side_masses(self):
+        uniform = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
+                                           (-1.0, 1.0))
+        p_pos, p_neg = side_masses_from_levels(uniform)
+        assert abs(p_pos - 0.5) < 1e-9 and abs(p_neg - 0.5) < 1e-9
+
+        # unit exponential shifted to mean zero
+        def g(x):
+            return math.exp(-1.0) * (1.0 - (1.0 + x) * math.exp(-x)) \
+                if x >= -1.0 else 0.0
+
+        shifted = ZeroMeanMeasure.analytic(g, math.exp(-1.0),
+                                           (-1.0, math.inf))
+        p_pos, p_neg = side_masses_from_levels(shifted)
+        assert abs(p_pos - math.exp(-1.0)) < 1e-9
+        assert abs(p_neg - (1.0 - math.exp(-1.0))) < 1e-9
 
     def test_analytic_mode(self):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,

@@ -12,7 +12,8 @@ from twopoint import (AlternativeDisintegration, ZeroMeanMeasure,
                       neg_abs_diff_pow, norm_report, ratio_pow,
                       tilted_weights, two_point)
 from twopoint.errors import (BadP, NotADisintegration, NotSuperadditive,
-                             OptimalityViolated, UnsupportedMarginals)
+                             OptimalityViolated, Unbounded,
+                             UnsupportedMarginals)
 
 
 @pytest.fixture
@@ -141,6 +142,13 @@ class TestComparisons:
         # canonical pairs x with -x, so E(|Y1| + |Y2|) = 2 E|X| / (2m) * m
         assert canonical_cost(mu, abs_sum_pow(1)) == pytest.approx(4.0 / 3.0,
                                                                    abs=1e-9)
+
+    def test_analytic_infinite_cost(self):
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
+                                      (-1.0, 1.0))
+        cost = custom_cost(lambda u, v: float("inf"), "max", check=False)
+        with pytest.raises(Unbounded):
+            canonical_cost(mu, cost)
 
     def test_jsonable(self, symmetric_four, alt):
         data = cost_compare(symmetric_four, abs_sum_pow(1),
