@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DimensionMismatch,
@@ -238,6 +237,8 @@ def _level_integral(measure: ZeroMeanMeasure, f: Callable):
     if measure.backend == "discrete":
         return sum((hi - lo) * f(a, b) for lo, hi, a, b, a_live, b_live
                    in zip(*measure._level_table()) if a_live and b_live)
+    # imported here so that importing twopoint loads no scipy
+    from scipy import integrate
 
     def integrand(h):
         val = f(float(measure.x_minus(h)), float(measure.x_plus(h)))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BadAlpha,
@@ -530,6 +529,9 @@ def validate_x_pm(y_plus: Callable[[float], float],
                 if abs(refined - val) > 0.7 * abs(probe - val):
                     raise CharacterizationFailed(
                         f"left-continuity violated near level {h!r}")
+
+    # imported here so that importing twopoint loads no scipy
+    from scipy import integrate
 
     def density_sum(h):
         return 1.0 / yp(h) - 1.0 / ym(h)

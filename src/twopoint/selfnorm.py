@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     AsymmetryViolated,
@@ -81,10 +80,28 @@ def _paired(xs, rs):
 
 def _studentizer(xs, rs, lam=None):
     """Along the last axis: half the Euclidean norm of the widths
-    ``x - r`` (``lam`` None), or ``(sum |x r|^lam)^(1 / (2 lam))``."""
-    if lam is None:
-        return 0.5 * np.sqrt(np.square(xs - rs).sum(axis=-1))
-    return (np.abs(xs * rs) ** lam).sum(axis=-1) ** (1.0 / (2.0 * lam))
+    ``x - r`` (``lam`` None), or ``(sum |x r|^lam)^(1 / (2 lam))``.
+
+    Both are homogeneous of degree one in ``(x, r)``, so where one
+    overflows on finite entries it is recomputed on them scaled by an
+    exact power of two and scaled back (to infinity only if the norm
+    itself exceeds the float range)."""
+    def norm(xs, rs):
+        if lam is None:
+            return 0.5 * np.sqrt(np.square(xs - rs).sum(axis=-1))
+        return (np.abs(xs * rs) ** lam).sum(axis=-1) ** (1.0 / (2.0 * lam))
+
+    with np.errstate(over="ignore"):
+        den = norm(xs, rs)
+        redo = ~np.isfinite(den)
+        if redo.any():
+            big = np.maximum(np.abs(xs), np.abs(rs)).max(axis=-1)
+            redo &= np.isfinite(big)
+            e = np.frexp(np.where(redo, big, 1.0))[1]
+            scaled = norm(np.ldexp(xs, -e[..., None]),
+                          np.ldexp(rs, -e[..., None]))
+            den = np.where(redo, np.ldexp(scaled, e), den)
+    return den
 
 
 def _ratio(num, den):
@@ -144,13 +161,80 @@ def hoeffding_bound(x) -> float:
 
 # --- exact Bernoulli tail model -------------------------------------------
 
-#: log-tails are interpolated down to 1e-210 only: scipy's ``binom.logsf``
-#: loses accuracy from about e^-550 (1e-239) on, and every tail of at
-#: least 1e-200 then lies on an interpolated piece
-LOG_FLOOR = math.log(1e-210)
-
-#: largest second difference of the kept log-tails read as rounding
+#: largest second difference of the log-tails read as rounding
 CONCAVITY_TOL = 1e-12
+
+#: ``log k! - (k + 1/2) log k + k - log sqrt(2 pi)`` at k = 1..15, where
+#: the asymptotic series is not yet accurate
+_STIRLERR_SMALL = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+
+def _stirlerr(k):
+    """Error of Stirling's formula for ``log k!`` at positive integers
+    ``k``: tabulated up to 15, its asymptotic series above."""
+    k = np.asarray(k, dtype=float)
+    r = 1.0 / (k * k)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r)
+                        * r) * r) / k
+    small = _STIRLERR_SMALL[np.clip(k, 1, 15).astype(int) - 1]
+    return np.where(k <= 15, small, series)
+
+
+def _bd0(x, mu):
+    """Deviance ``x log(x / mu) + mu - x`` for positive ``x`` and a
+    scalar ``mu > 0``, by its series in ``v = (x - mu) / (x + mu)`` where
+    ``x`` is within 10% of ``mu``, so that no cancellation occurs."""
+    with np.errstate(over="ignore"):
+        log_ratio = np.log(x / mu)
+    # x / mu overflows where mu is subnormal
+    far = np.isinf(log_ratio)
+    log_ratio[far] = np.log(x[far]) - math.log(mu)
+    out = x * log_ratio + mu - x
+    near = np.abs(x - mu) < 0.1 * (x + mu)
+    xn = x[near]
+    v = (xn - mu) / (xn + mu)
+    s = (xn - mu) * v
+    term, v2 = 2 * xn * v, v * v
+    # |v| < 0.1: each term is below 1% of the one before
+    for j in range(1, 10):
+        term = term * v2
+        s = s + term / (2 * j + 1)
+    out[near] = s
+    return out
+
+
+def _binom_log_tails(n: int, p: float) -> np.ndarray:
+    """``log P(K >= k)`` at ``k = 0..n`` for ``K`` Binomial(``n``, ``p``).
+
+    The log-pmf is Loader's saddle-point form (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000), as in R's
+    ``dbinom``; it keeps its relative accuracy however small the
+    probability.  Above ``floor(n p)`` the log-tails are running log-sums
+    of it from the top.  The median is ``floor(n p)`` or ``ceil(n p)``, so
+    at and below ``floor(n p)`` a tail can be near one: there it is
+    ``log1p`` of minus the lower sum, which keeps the relative accuracy
+    the upper sum loses."""
+    k = np.arange(1, n, dtype=float)
+    stirl = _stirlerr(k)
+    log_pmf = np.empty(n + 1)
+    log_pmf[0] = n * math.log1p(-p)
+    log_pmf[n] = n * math.log(p)
+    log_pmf[1:n] = (_stirlerr(n) - stirl - stirl[::-1]
+                    - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+                    - 0.5 * (math.log(2 * math.pi) + np.log(k)
+                             + np.log1p(-k / n)))
+    m = min(int(n * p), n - 1)
+    log_tails = np.empty(n + 1)
+    log_tails[0] = 0.0
+    log_tails[1:m + 1] = np.log1p(-np.exp(np.logaddexp.accumulate(
+        log_pmf[:m])))
+    log_tails[m + 1:] = np.logaddexp.accumulate(log_pmf[:m:-1])[::-1]
+    return log_tails
 
 
 @dataclass(frozen=True)
@@ -162,11 +246,6 @@ class BernoulliTailModel:
     at the equally spaced support points are already concave, and the
     least log-concave majorant of the step tail is their log-linear
     interpolation.  It is one left of the support and zero right of it.
-    Only the first ``kept`` log-tails, those at least ``LOG_FLOOR``, are
-    interpolated, since ``logsf`` is not accurate far below it.  Past the
-    last kept point the last chord is extrapolated log-linearly, which by
-    concavity stays above the true tail (one when a single point is
-    kept).
     """
 
     n: int
@@ -174,12 +253,10 @@ class BernoulliTailModel:
     lam: float
     support: np.ndarray = field(repr=False)
     log_tails: np.ndarray = field(repr=False)
-    kept: int = field(repr=False)
 
     def tail(self, x) -> float:
-        """``P(T >= x)`` as scipy's ``binom.logsf`` gives it: accurate
-        down to about e^-550 but not below (0.2 nats off at e^-605, and
-        zero where the true tail is e^-623)."""
+        """``P(T >= x)``, its logarithm within 1e-12 relative of the
+        exact one, also where the tail is far below the smallest float."""
         x = float(x)
         k = int(np.searchsorted(self.support, x, side="left"))
         if k >= len(self.support):
@@ -189,17 +266,12 @@ class BernoulliTailModel:
     def lc_tail(self, x) -> float:
         """Least log-concave majorant of :meth:`tail` at ``x``."""
         x = float(x)
-        t, y, k = self.support, self.log_tails, self.kept - 1
+        t = self.support
         if x <= t[0]:
             return 1.0
         if x > t[-1]:
             return 0.0
-        if x <= t[k]:
-            log_tail = float(np.interp(x, t[:k + 1], y[:k + 1]))
-        else:
-            slope = (y[k] - y[k - 1]) / (t[k] - t[k - 1]) if k else 0.0
-            log_tail = float(y[k] + slope * (x - t[k]))
-        return math.exp(min(log_tail, 0.0))
+        return math.exp(float(np.interp(x, t, self.log_tails)))
 
 
 def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
@@ -216,17 +288,14 @@ def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
     if not lam > 0:
         raise BadLambda(f"lambda must be positive, got {lam!r}")
     scale = math.sqrt(p * (1 - p)) * n ** (1.0 / (2.0 * lam))
-    ks = np.arange(n + 1)
-    support = (ks - n * p) / scale
-    log_tails = stats.binom.logsf(ks - 1, n, p)
-    below = np.flatnonzero(log_tails < LOG_FLOOR)
-    kept = int(below[0]) if below.size else n + 1
-    bend = np.diff(log_tails[:kept], 2)
+    support = (np.arange(n + 1) - n * p) / scale
+    log_tails = _binom_log_tails(n, p)
+    bend = np.diff(log_tails, 2)
     if bend.size and bend.max() > CONCAVITY_TOL:
         raise NotLogConcave(
             f"binomial log-tail at n={n}, p={p!r} bends upward by "
             f"{float(bend.max())!r}")
-    return BernoulliTailModel(n, p, lam, support, log_tails, kept)
+    return BernoulliTailModel(n, p, lam, support, log_tails)
 
 
 # --- conservative tests ---------------------------------------------------

@@ -1,12 +1,16 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import subprocess
 import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twopoint
 from twopoint import ZeroMeanMeasure, cli, decompose, ratio_moments
 
 EXAMPLE = {"atoms": [[-1, "5/10"], [0, "1/10"], [1, "3/10"], [2, "1/10"]]}
@@ -92,6 +96,38 @@ class TestTest:
                                     "--mode", "bernoulli"])
         assert code == 1
         assert "BadP" in err
+
+    def test_width_norm_overflow_is_quiet(self, tmp_path, capsys):
+        src = tmp_path / "xs.txt"
+        src.write_text("1.5e308 -1.5e308 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["test", "--input", str(src)])
+        assert code == 0
+        assert json.loads(out)["n"] == 3
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    src = tmp_path / "xs.txt"
+    src.write_text("-3 -1 -1 0 2 3\n")
+    child = f"""
+import sys
+import twopoint, twopoint.cli
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = scipy()
+for argv in (["test", "--mode", "bernoulli", "--p", "0.33"],
+             ["estimate", "--seed", "1", "--resamples", "100"]):
+    code = twopoint.cli.main(argv + ["--input", {str(src)!r},
+                                     "--output", {str(tmp_path / "out")!r}])
+    assert code == 0, argv
+print(after_import, scipy())
+"""
+    env = {"PYTHONPATH": str(Path(twopoint.__file__).parents[1]),
+           "PATH": ""}
+    done = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "[]"]
 
 
 class TestModel:

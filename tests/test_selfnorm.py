@@ -1,6 +1,8 @@
 """Self-normalized statistics, tail models, and certificates."""
 
+import itertools
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -61,6 +63,17 @@ class TestStatistics:
         assert s_w(zero, zero) == 0.0
         assert s_y(zero, zero, 1.0) == 0.0
         assert s_w(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == math.inf
+
+    def test_norm_past_float_range(self):
+        # the widths and their squares overflow, the norm does not
+        xs = np.array([1e308, -1e308, 1.0])
+        rs = np.array([-0.5e308, 0.5e308, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            den = selfnorm._studentizer(xs, rs)
+            stat = s_w(xs, rs)
+        assert den == pytest.approx(0.5 * math.sqrt(4.5) * 1e308, rel=1e-15)
+        assert stat == pytest.approx(1.0 / den, rel=1e-15)
 
     def test_shape_errors(self):
         with pytest.raises(LengthMismatch):
@@ -195,28 +208,44 @@ class TestLogConcaveMajorant:
         model = bernoulli_tail_model(100_000, 0.15, lambda_star(0.15))
         check_against_hull(model, support_and_midpoints(model.support, 7))
 
-    def test_extrapolates_past_floor(self):
-        model = bernoulli_tail_model(2000, 0.5, 1.0)
-        assert model.kept < len(model.support)
-        t, y, k = model.support, model.log_tails, model.kept - 1
-        slope = (y[k] - y[k - 1]) / (t[k] - t[k - 1])
-        x = t[k] + 3.5 * (t[k] - t[k - 1])
-        assert model.lc_tail(x) == math.exp(y[k] + slope * (x - t[k]))
+    @pytest.mark.parametrize("p", [5e-324, 1 - 1e-16])
+    def test_majorant_at_extreme_p(self, p):
+        model = bernoulli_tail_model(1000, p, 1.0)
+        t = model.support
+        assert np.isfinite(model.log_tails).all()
+        for x in support_and_midpoints(t):
+            assert model.lc_tail(x) >= model.tail(x)
+        assert model.lc_tail(t[0]) == 1.0
+        assert model.lc_tail(t[0] - abs(t[0]) - 1.0) == 1.0
+        assert model.lc_tail(np.nextafter(t[-1], math.inf)) == 0.0
 
-    def test_tail_below_floor_at_once(self):
-        model = bernoulli_tail_model(1000, 5e-324, 1.0)
-        assert model.kept == 1
-        assert model.lc_tail(model.support[1]) == 1.0
-        assert model.lc_tail(model.support[-1]) >= model.tail(
-            model.support[-1])
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.3), (3, 0.5), (17, 0.77), (320, 0.09375),
+        (730, 0.35124563909749795), (1000, 0.99), (2000, 0.5),
+        (2000, 0.01), (50, 1e-5), (1000, 5e-324), (1000, 1 - 1e-16)])
+    def test_log_tails_match_mpmath(self, n, p):
+        import mpmath
+
+        with mpmath.workdps(60):
+            pp = mpmath.mpf(p)
+            pmf = [(1 - pp) ** n]
+            for j in range(n):
+                pmf.append(pmf[-1] * (n - j) / (j + 1) * pp / (1 - pp))
+            upper = list(itertools.accumulate(pmf[::-1]))[::-1]
+            lower = [0] + list(itertools.accumulate(pmf[:-1]))
+            want = np.array([float(mpmath.log(u) if u <= 0.5
+                                   else mpmath.log1p(-v))
+                             for u, v in zip(upper, lower)])
+        got = bernoulli_tail_model(n, p, 1.0).log_tails
+        # a log-pmf is rounded to a few ulps of its size; near one that
+        # size reaches 745 while the log-tail is still nonzero in floats
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+        if n == 730:
+            assert got[700] == pytest.approx(-622.8172255000393, rel=1e-14)
 
     def test_rejects_convex_log_tail(self, monkeypatch):
-        class Convex:
-            @staticmethod
-            def logsf(k, n, p):
-                return -np.sqrt(np.asarray(k, dtype=float) + 1.0)
-
-        monkeypatch.setattr(selfnorm.stats, "binom", Convex)
+        monkeypatch.setattr(selfnorm, "_binom_log_tails",
+                            lambda n, p: -np.sqrt(np.arange(n + 1.0)))
         with pytest.raises(NotLogConcave) as exc:
             bernoulli_tail_model(10, 0.3, 1.0)
         assert isinstance(exc.value, TwopointError)
