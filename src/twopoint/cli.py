@@ -122,7 +122,7 @@ def _parse_grid(spec: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InputError(f"bad grid {spec!r}")
-    if count < 2 or not lo < hi:
+    if count < 2 or not 0 < hi - lo < INF:
         raise InputError(f"bad grid {spec!r}")
     return np.linspace(lo, hi, count)
 
@@ -151,6 +151,8 @@ def _cmd_verify(args, out) -> int:
         raise InputError(f"verify compares in floats; atom {_shown(far)} "
                          "lies beyond the float range")
     m = float(mu.m)
+    if args.grid < 2:
+        raise InputError(f"--grid needs at least 2 levels, got {args.grid}")
     grid = np.linspace(0.0, 2.0 * m, args.grid)
     h_ok = all(
         abs(float(mu.h_plus(h)) - min(h, m)) <= 1e-12 * (1.0 + m)
@@ -203,35 +205,28 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_model(args, out) -> int:
-    spec = {"family": args.family}
-    if args.p is not None:
-        spec["p"] = INF if args.p == "inf" else (
-            NEG_INF if args.p == "-inf" else float(args.p))
-    if args.c is not None:
-        spec["c"] = args.c
-    if args.alpha is not None:
-        spec["alpha"] = args.alpha
-    if args.kappa is not None:
-        spec["kappa"] = args.kappa
-    curve = modeling.family_from_spec(spec)
+    grid = None if args.table is None else _parse_grid(args.table)
+    spec = {"family": args.family, "p": args.p, "c": args.c,
+            "alpha": args.alpha, "kappa": args.kappa}
+    curve = modeling.family_from_spec(
+        {k: v for k, v in spec.items() if v is not None})
     report = None
     if args.validate:
         report = modeling.validate_curve(
             curve, check_derivative=curve.smooth_at_zero)
-    if args.table is not None and report is None:
+    rows = None if grid is None else modeling.curve_table(curve, grid)
+    if rows is not None and report is None:
         # a plain table request yields CSV
         out.write("x,r\n")
-        for x, r in modeling.curve_table(curve, _parse_grid(args.table)):
+        for x, r in rows:
             out.write(f"{x!r},{r!r}\n")
         return 0
     payload = {"label": curve.label, "a_minus": curve.a_minus,
                "a_plus": curve.a_plus}
     if report is not None:
         payload["report"] = report.to_jsonable()
-    if args.table is not None:
-        payload["table"] = [[x, r] for x, r in
-                            modeling.curve_table(curve,
-                                                 _parse_grid(args.table))]
+    if rows is not None:
+        payload["table"] = [[x, r] for x, r in rows]
     emit(payload, out)
     if report is not None and not report.passed:
         return 1

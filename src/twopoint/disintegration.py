@@ -74,16 +74,8 @@ class TwoPointLaw:
         return self.b * self.p_b
 
     @property
-    def width(self):
-        return self.b - self.a
-
-    @property
     def is_degenerate(self) -> bool:
         return self.b == self.a
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        take_b = rng.random(int(n)) < float(self.p_b)
-        return np.where(take_b, float(self.b), float(self.a))
 
 
 def two_point(a, b) -> TwoPointLaw:
@@ -202,11 +194,7 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
     keeps that side's last atom.
     """
     if measure.backend != "discrete":
-        xs = measure.sample(n, rng)
-        us = rng.random(int(n))
-        rs = np.array([float(measure.reciprocate(x, u))
-                       for x, u in zip(xs, us)])
-        return xs, rs, us
+        raise NotDiscrete("sample_pairs requires a discrete measure")
     idx = measure.sample_indices(n, rng)
     us = rng.random(int(n))
     locs, _ = measure._float_tables()
@@ -333,25 +321,12 @@ def component_ratio_moment(law: TwoPointLaw):
     return -1 + (law.a + law.b) ** 2 / (law.a * law.b)
 
 
-def ratio_moments(measure: ZeroMeanMeasure, n: int = 100_000,
-                  rng=None) -> RatioMoments:
-    """Partner-ratio moments; exact through :func:`decompose` for
-    discrete measures, Monte Carlo (``n`` draws) otherwise."""
-    if measure.backend == "discrete":
-        comps = []
-        er = 0
-        for w, law in decompose(measure):
-            c = component_ratio_moment(law)
-            er = er + w * c
-            comps.append((law.a, law.b, w, c))
-        return RatioMoments(-1, er, tuple(comps))
-    if rng is None:
-        raise InputError("Monte Carlo ratio moments need an rng")
-    xs, rs, _us = sample_pairs(measure, n, rng)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xr = np.where(xs == 0, -1.0, xs / rs)
-        rx = np.where(xs == 0, -1.0, rs / xs)
-    return RatioMoments(float(xr.mean()), float(rx.mean()), ())
+def ratio_moments(measure: ZeroMeanMeasure) -> RatioMoments:
+    """Partner-ratio moments of a discrete measure, exact through
+    :func:`decompose`."""
+    comps = tuple((law.a, law.b, w, component_ratio_moment(law))
+                  for w, law in decompose(measure))
+    return RatioMoments(-1, sum(w * c for _, _, w, c in comps), comps)
 
 
 # --- tilted laws ----------------------------------------------------------
@@ -363,16 +338,9 @@ class TiltedAtoms:
     locations: tuple
     probs: tuple
 
-    def expect(self, g: Callable):
-        return sum(p * g(l) for l, p in zip(self.locations, self.probs))
-
     def sample_indices(self, n: int, rng) -> np.ndarray:
         probs = np.array([float(p) for p in self.probs])
         return rng.choice(len(probs), size=int(n), p=probs / probs.sum())
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        locs = np.array([float(l) for l in self.locations])
-        return locs[self.sample_indices(n, rng)]
 
 
 TILT_KINDS = ("Y", "Y_plus", "Y_minus")
@@ -461,7 +429,8 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
 
 def joint_disintegrate(measures: Sequence[ZeroMeanMeasure], g: Callable,
                        n: int = 100_000, rng=None):
-    """Monte Carlo check of the coordinate-wise disintegration identity.
+    """Monte Carlo check of the coordinate-wise disintegration identity
+    for discrete coordinate measures.
 
     Draws ``n`` rows of ``(X_j, R_j)`` per coordinate directly (``lhs``)
     and, independently, re-draws each coordinate from the two-point law

@@ -229,9 +229,11 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
     if rng is None:
         rng = np.random.default_rng(seed)
     draws = arr[rng.integers(0, n, size=(resamples, n))]
-    sums = draws.sum(axis=1)
-    draws.sort(axis=1)
-    pivots = _ratio(sums - n * xbar, _den_rows(draws, sums, kind, lam))
+    # a resample whose sum overflows gets a nan pivot, by design
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = draws.sum(axis=1)
+        draws.sort(axis=1)
+        pivots = _ratio(sums - n * xbar, _den_rows(draws, sums, kind, lam))
     alpha = 1.0 - level
     q_lo, q_hi = _quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
     ci = ((arr.sum() - q_hi * den0) / n, (arr.sum() - q_lo * den0) / n)

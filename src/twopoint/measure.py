@@ -289,8 +289,8 @@ class ZeroMeanMeasure:
 
     @classmethod
     def analytic(cls, g: Callable[[float], float], m, support,
-                 *, cdf: Optional[Callable[[float], float]] = None,
-                 quantile: Optional[Callable] = None) -> "ZeroMeanMeasure":
+                 *, cdf: Optional[Callable[[float], float]] = None
+                 ) -> "ZeroMeanMeasure":
         """Wrap a continuous cumulative curve ``g``.
 
         ``g(x)`` must be nondecreasing in ``|x|`` on either side of zero,
@@ -298,8 +298,8 @@ class ZeroMeanMeasure:
         (a pair ``(lo, hi)`` with ``lo < 0 < hi``, infinities allowed).
         The backend assumes ``g`` is continuous, i.e. the measure has no
         atoms off zero; an atom *at* zero is fine and never shows up in
-        ``g``.  Optional ``cdf`` and ``quantile`` callables enable
-        distribution queries and sampling.
+        ``g``.  An optional ``cdf`` callable enables distribution
+        queries; sampling needs a discrete measure.
         """
         m = _as_number(m)
         if not m > 0:
@@ -310,8 +310,7 @@ class ZeroMeanMeasure:
         if not (lo < 0 < hi):
             raise InputError(
                 f"support must straddle zero, got {_shown(support)}")
-        return cls(_backend="analytic", g=g, m=m, lo=lo, hi=hi,
-                   cdf=cdf, quantile=quantile)
+        return cls(_backend="analytic", g=g, m=m, lo=lo, hi=hi, cdf=cdf)
 
     # -- backend setup -----------------------------------------------------
 
@@ -341,13 +340,12 @@ class ZeroMeanMeasure:
         self._np_cache = None
         self._table = None
 
-    def _init_analytic(self, *, g, m, lo, hi, cdf, quantile):
+    def _init_analytic(self, *, g, m, lo, hi, cdf):
         self._g_raw = g
         self._m = m
         self._lo = lo
         self._hi = hi
         self._cdf_fn = cdf
-        self._quantile_fn = quantile
         self._exact = False
 
     # -- basic properties --------------------------------------------------
@@ -664,9 +662,9 @@ class ZeroMeanMeasure:
 
     # -- symmetry ----------------------------------------------------------
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """Whether G is even within ``tol`` (scaled by ``max(1, m)``)."""
-        scale = tol * max(1.0, float(self._m))
+    def is_symmetric(self) -> bool:
+        """Whether G is even within ``1e-12`` (scaled by ``max(1, m)``)."""
+        scale = 1e-12 * max(1.0, float(self._m))
         if self._backend == "discrete":
             probes = sorted({abs(l) for l in self._locs if l != 0})
         else:
@@ -694,12 +692,7 @@ class ZeroMeanMeasure:
         return self._np_cache
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` i.i.d. values (needs a quantile on analytic backends)."""
-        if self._backend == "analytic":
-            if self._quantile_fn is None:
-                raise InputError("this analytic measure carries no quantile "
-                                 "sampler")
-            return np.asarray(self._quantile_fn(rng.random(n)), dtype=float)
+        """Draw ``n`` i.i.d. values (discrete only)."""
         idx = self.sample_indices(n, rng)
         locs, _ = self._float_tables()
         return locs[idx]

@@ -34,7 +34,7 @@ from .errors import (
     Lip1Violated,
     NotValidCurve,
 )
-from .measure import INF, NEG_INF, ZeroMeanMeasure, _bisect
+from .measure import INF, NEG_INF, ZeroMeanMeasure, _bisect, _shown
 
 __all__ = [
     "ReciprocatingCurve",
@@ -315,16 +315,14 @@ def from_asymmetry_pattern(pattern: AsymmetryPattern, *,
                               "from_pattern")
 
 
-def asymmetry_pattern_of(curve: ReciprocatingCurve, *,
-                         consistency_tol: float = 1e-9,
-                         probes: int = 25) -> AsymmetryPattern:
+def asymmetry_pattern_of(curve: ReciprocatingCurve) -> AsymmetryPattern:
     """Recover the sum-profile ``a(w)`` of a valid curve.
 
     Inverts ``w(x) = x - r(x)`` on the positive branch by bisection and
     reads off ``a = x + r(x)``.  The negative branch must induce the
-    same profile; both are probed and a disagreement beyond
-    ``consistency_tol`` (relative) raises
-    :class:`~twopoint.errors.NotValidCurve`.
+    same profile; both are probed at 17 dyadic widths (25 inner points
+    of a bounded width range) and a relative disagreement beyond
+    ``1e-9`` raises :class:`~twopoint.errors.NotValidCurve`.
     """
 
     def a_from_pos(w):
@@ -343,11 +341,11 @@ def asymmetry_pattern_of(curve: ReciprocatingCurve, *,
     if wb == INF:
         ws = [2.0 ** j for j in range(-8, 9)]
     else:
-        ws = list(np.linspace(0.0, wb, probes + 2)[1:-1])
+        ws = list(np.linspace(0.0, wb, 27)[1:-1])
     for w in ws:
         left = a_from_pos(w)
         right = a_from_neg(w)
-        if abs(left - right) > consistency_tol * (1.0 + abs(left) + w):
+        if abs(left - right) > 1e-9 * (1.0 + abs(left) + w):
             raise NotValidCurve(
                 f"positive and negative branches disagree at width {w!r}: "
                 f"{left!r} vs {right!r}")
@@ -374,28 +372,28 @@ class CurveReport:
         }
 
 
-def _probe_grid(curve: ReciprocatingCurve, grid_size: int) -> np.ndarray:
-    half = max(grid_size // 2, 8)
+def _probe_grid(curve: ReciprocatingCurve) -> np.ndarray:
+    """100 probes on either side of zero, and zero itself."""
     lo, hi = curve.a_minus, curve.a_plus
     if hi == INF:
-        pos = np.geomspace(1e-3, 64.0, half)
+        pos = np.geomspace(1e-3, 64.0, 100)
     else:
-        pos = np.linspace(0.0, hi, half + 2)[1:-1]
+        pos = np.linspace(0.0, hi, 102)[1:-1]
     if lo == NEG_INF:
-        neg = -np.geomspace(1e-3, 64.0, half)
+        neg = -np.geomspace(1e-3, 64.0, 100)
     else:
-        neg = np.linspace(lo, 0.0, half + 2)[1:-1]
+        neg = np.linspace(lo, 0.0, 102)[1:-1]
     return np.concatenate([np.sort(neg), [0.0], pos])
 
 
-def validate_curve(curve: ReciprocatingCurve, grid_size: int = 200,
-                   tol: float = 1e-9,
+def validate_curve(curve: ReciprocatingCurve, tol: float = 1e-9,
                    check_derivative: bool = True) -> CurveReport:
     """Probe ``r(0) = 0``, strict decrease, continuity, boundary
-    constancy, and the involution on a grid; optionally also the slope
-    ``-1`` at zero via Richardson-extrapolated central differences."""
+    constancy, and the involution on a 201-point grid; optionally also
+    the slope ``-1`` at zero via Richardson-extrapolated central
+    differences."""
     failures = []
-    xs = _probe_grid(curve, grid_size)
+    xs = _probe_grid(curve)
     rs = np.array([curve(x) for x in xs])
 
     if abs(curve(0.0)) > tol:
@@ -479,16 +477,15 @@ def _safe_call(f: Callable[[float], float], h: float) -> float:
 
 
 def validate_x_pm(y_plus: Callable[[float], float],
-                  y_minus: Callable[[float], float], m, *,
-                  grid_size: int = 256, tol: float = 1e-9) -> XpmReport:
+                  y_minus: Callable[[float], float], m) -> XpmReport:
     """Decide whether ``(y_plus, y_minus)`` are the generalized inverses
     of some zero-mean measure with half mean ``m``, and rebuild it.
 
     The candidates are consulted on ``(0, m]`` only (their value at zero
     is 0 by convention) and must be sign-correct, monotone in the proper
-    directions, left-continuous, finite on ``[0, m)``, and satisfy the
-    mass inequality: the integral over ``(0, m)`` of
-    ``1/y_plus - 1/y_minus`` may not exceed one.  Violations raise
+    directions, left-continuous, finite on ``[0, m)`` (all probed on 256
+    levels), and satisfy the mass inequality: the integral over ``(0, m)``
+    of ``1/y_plus - 1/y_minus`` may not exceed one.  Violations raise
     :class:`~twopoint.errors.CharacterizationFailed`; on success the
     unique measure is returned as an analytic backend together with its
     distribution function (the deficit of the mass inequality sits at
@@ -501,7 +498,7 @@ def validate_x_pm(y_plus: Callable[[float], float],
     yp = lambda h: _safe_call(y_plus, h)
     ym = lambda h: _safe_call(y_minus, h)
 
-    hs = np.linspace(0.0, m, grid_size + 1)[1:]
+    hs = np.linspace(0.0, m, 257)[1:]
     vp = np.array([yp(h) for h in hs])
     vm = np.array([ym(h) for h in hs])
 
@@ -511,10 +508,10 @@ def validate_x_pm(y_plus: Callable[[float], float],
     if not (vm < 0).all():
         raise CharacterizationFailed("negative inverse must be strictly "
                                      "negative on (0, m]")
-    slack = tol * (1.0 + np.abs(vp[np.isfinite(vp)]).max(initial=0.0))
+    slack = 1e-9 * (1.0 + np.abs(vp[np.isfinite(vp)]).max(initial=0.0))
     if not (np.diff(vp) >= -slack).all():
         raise CharacterizationFailed("positive inverse must be nondecreasing")
-    slack_m = tol * (1.0 + np.abs(vm[np.isfinite(vm)]).max(initial=0.0))
+    slack_m = 1e-9 * (1.0 + np.abs(vm[np.isfinite(vm)]).max(initial=0.0))
     if not (np.diff(vm) <= slack_m).all():
         raise CharacterizationFailed("negative inverse must be nonincreasing")
     if not math.isfinite(vp[-2]) or not math.isfinite(vm[-2]):
@@ -537,7 +534,7 @@ def validate_x_pm(y_plus: Callable[[float], float],
         return 1.0 / yp(h) - 1.0 / ym(h)
 
     total, _err = integrate.quad(density_sum, 0.0, m, limit=200)
-    if total > 1.0 + tol:
+    if total > 1.0 + 1e-9:
         raise CharacterizationFailed(
             f"mass integral {total!r} exceeds one; no probability measure "
             "has these inverses")
@@ -593,11 +590,12 @@ def family_from_spec(obj: dict) -> ReciprocatingCurve:
         raise InputError(f"curve spec must name a family in {_FAMILIES}")
     kind = obj["family"]
     if kind == "power":
-        p = obj.get("p")
-        if isinstance(p, str):
-            if p not in ("inf", "-inf"):
-                raise InputError(f"bad exponent {p!r}")
-            p = INF if p == "inf" else NEG_INF
+        # a number or a numeric string; "inf" and "-inf" name the limits
+        try:
+            p = float(obj.get("p"))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("power family needs a numeric exponent p, got "
+                             f"{_shown(obj.get('p'))}") from None
         return power_family(p, obj.get("c", 1))
     if kind == "hyperbolic":
         return hyperbolic_family(obj.get("alpha", 0), obj.get("c", 1))

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .disintegration import (MixtureDecomposition, _level_integral,
                              decompose, tilt, two_point)
@@ -51,6 +52,12 @@ __all__ = [
     "ComonotoneReport",
     "comonotone_extremality",
 ]
+
+#: tolerance of the float comparisons between representations
+_TOL = 1e-9
+
+#: largest marginal that :func:`comonotone_extremality` pairs every way
+_MAX_MARGINAL = 7
 
 
 @dataclass(frozen=True)
@@ -128,18 +135,16 @@ def ratio_pow(p=1, side: str = "pos_over_neg") -> CostFunction:
 
 
 def custom_cost(fn: Callable, canonical_is: str, *,
-                probe_grid: Optional[Sequence] = None,
-                check: bool = True, label: str = "custom") -> CostFunction:
+                check: bool = True) -> CostFunction:
     """Wrap an arbitrary endpoint cost, optionally probing the lattice
     inequality ``k(u', v') + k(u, v) >= k(u, v') + k(u', v)`` (reversed
-    for ``canonical_is="min"``) on a grid; a failed probe raises
-    :class:`~twopoint.errors.NotSuperadditive`."""
+    for ``canonical_is="min"``) on the grid ``0.25, 0.5, 1, 2, 4``; a
+    failed probe raises :class:`~twopoint.errors.NotSuperadditive`."""
     if canonical_is not in ("max", "min"):
         raise InputError(f"canonical_is must be max or min, "
                          f"got {canonical_is!r}")
     if check:
-        grid = sorted(probe_grid) if probe_grid is not None else \
-            [0.25, 0.5, 1.0, 2.0, 4.0]
+        grid = (0.25, 0.5, 1.0, 2.0, 4.0)
         for (u1, u2), (v1, v2) in itertools.product(
                 itertools.combinations(grid, 2), repeat=2):
             gap = fn(u2, v2) + fn(u1, v1) - fn(u1, v2) - fn(u2, v1)
@@ -149,23 +154,32 @@ def custom_cost(fn: Callable, canonical_is: str, *,
                 raise NotSuperadditive(
                     f"lattice inequality fails on the rectangle "
                     f"[{u1}, {u2}] x [{v1}, {v2}] (gap {gap!r})")
-    return CostFunction(fn, canonical_is, label)
+    return CostFunction(fn, canonical_is, "custom")
 
 
 def cost_from_spec(obj: dict) -> CostFunction:
     """Build a named cost from its JSON description, e.g.
-    ``{"kind": "indicator_ge", "a": 2, "b": 2}``."""
+    ``{"kind": "indicator_ge", "a": 2, "b": 2}``.  Numeric parameters
+    keep their JSON type, so labels print them as given."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("cost spec must be an object with a 'kind'")
+
+    def number(key, default):
+        value = obj.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"cost parameter {key!r} must be a number, "
+                             f"got {_shown(value)}")
+        return value
+
     kind = obj["kind"]
     if kind == "indicator_ge":
-        return indicator_ge(obj.get("a", 0), obj.get("b", 0))
+        return indicator_ge(number("a", 0), number("b", 0))
     if kind == "neg_abs_diff_pow":
-        return neg_abs_diff_pow(obj.get("p", 1))
+        return neg_abs_diff_pow(number("p", 1))
     if kind == "abs_sum_pow":
-        return abs_sum_pow(obj.get("p", 1))
+        return abs_sum_pow(number("p", 1))
     if kind == "ratio_pow":
-        return ratio_pow(obj.get("p", 1), obj.get("side", "pos_over_neg"))
+        return ratio_pow(number("p", 1), obj.get("side", "pos_over_neg"))
     raise InputError(f"unknown cost kind {kind!r}")
 
 
@@ -175,13 +189,12 @@ def cost_from_spec(obj: dict) -> CostFunction:
 AlternativeDisintegration = MixtureDecomposition
 
 
-def alternative_disintegration(measure: ZeroMeanMeasure, components,
-                               *, tol: float = 1e-9
+def alternative_disintegration(measure: ZeroMeanMeasure, components
                                ) -> MixtureDecomposition:
     """Validate ``(weight, a, b)`` triples as a representation of
     ``measure``; each pair carries the unique zero-mean two-point law,
     and the weighted atoms must reassemble the measure (exactly for
-    exact inputs, else within ``tol``).  Raises
+    exact inputs, else within ``1e-9``).  Raises
     :class:`~twopoint.errors.NotADisintegration` otherwise."""
     built = []
     for item in components:
@@ -196,7 +209,7 @@ def alternative_disintegration(measure: ZeroMeanMeasure, components,
                                      "positive")
         built.append((w, two_point(a, b)))
     total = sum(w for w, _ in built)
-    if abs(total - 1) > tol:
+    if abs(total - 1) > _TOL:
         raise NotADisintegration(f"weights sum to {_approx(total)}, not 1")
 
     alt = MixtureDecomposition(tuple(built))
@@ -214,7 +227,7 @@ def alternative_disintegration(measure: ZeroMeanMeasure, components,
         facc = {float(k): float(v) for k, v in acc.items()}
         ftar = {float(k): float(v) for k, v in target.items()}
         for k in keys:
-            if abs(facc.get(k, 0.0) - ftar.get(k, 0.0)) > tol:
+            if abs(facc.get(k, 0.0) - ftar.get(k, 0.0)) > _TOL:
                 raise NotADisintegration(
                     f"mass mismatch at {k!r}: "
                     f"{facc.get(k, 0.0)!r} vs {ftar.get(k, 0.0)!r}")
@@ -228,16 +241,16 @@ def canonical_disintegration(measure: ZeroMeanMeasure
     return decompose(measure)
 
 
-def tilted_weights(alt, m=None, *, tol: float = 1e-9):
+def tilted_weights(alt, m=None):
     """Level-tilted weights: each component reweighted by its half-mean
     contribution ``w * b * (-a) / (b - a)`` and normalized.  When ``m``
-    is supplied the normalizer must match it."""
+    is supplied the normalizer must match it within ``1e-9`` relative."""
     comps = list(alt)
     contrib = [w * law.mean_positive_part for w, law in comps]
     total = sum(contrib)
     if not total > 0:
         raise NotADisintegration("representation carries no half mean")
-    if m is not None and abs(float(total) - float(m)) > tol * max(
+    if m is not None and abs(float(total) - float(m)) > _TOL * max(
             1.0, float(m)):
         raise NotADisintegration(
             f"half-mean contributions sum to {float(total)!r}, "
@@ -253,11 +266,10 @@ class MarginalReport:
     discrepancy: float
 
 
-def marginal_check(measure: ZeroMeanMeasure, alt, *,
-                   tol: float = 1e-9) -> MarginalReport:
+def marginal_check(measure: ZeroMeanMeasure, alt) -> MarginalReport:
     """Under the tilted weights, the law of the positive endpoint must
     be the positive size-biased tilt of the measure, and the law of the
-    negative endpoint magnitude the negative one."""
+    negative endpoint magnitude the negative one, within ``1e-9``."""
     weights = tilted_weights(alt)
     pos: dict = {}
     neg: dict = {}
@@ -274,7 +286,7 @@ def marginal_check(measure: ZeroMeanMeasure, alt, *,
             want[abs(float(l))] = want.get(abs(float(l)), 0.0) + float(p)
         for k in set(got) | set(want):
             disc = max(disc, abs(got.get(k, 0.0) - want.get(k, 0.0)))
-    return MarginalReport(disc <= tol, disc)
+    return MarginalReport(disc <= _TOL, disc)
 
 
 # --- cost comparisons -----------------------------------------------------
@@ -305,10 +317,10 @@ class CostComparison:
 
 
 def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction, alt, *,
-                 tol: float = 1e-9, enforce: bool = False
-                 ) -> CostComparison:
+                 enforce: bool = False) -> CostComparison:
     """Compare the canonical representation against an alternative on
-    one cost; with ``enforce`` a violated inequality raises
+    one cost, within ``1e-9`` relative; with ``enforce`` a violated
+    inequality raises
     :class:`~twopoint.errors.OptimalityViolated`."""
     if not isinstance(alt, MixtureDecomposition):
         alt = alternative_disintegration(measure, alt)
@@ -317,7 +329,7 @@ def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction, alt, *,
                   for nu, (w, law) in zip(weights, alt)
                   if not law.is_degenerate)
     can_val = canonical_cost(measure, cost)
-    scale = tol * (1.0 + abs(float(can_val)) + abs(float(alt_val)))
+    scale = _TOL * (1.0 + abs(float(can_val)) + abs(float(alt_val)))
     if cost.canonical_is == "max":
         ok = float(can_val) >= float(alt_val) - scale
     else:
@@ -369,21 +381,19 @@ class ComonotoneReport:
 
 
 def comonotone_extremality(pos_values: Sequence, neg_values: Sequence,
-                           cost: CostFunction, *, limit: int = 7,
-                           tol: float = 1e-12) -> ComonotoneReport:
-    """Pair two uniform marginals every possible way and confirm the
-    sorted-with-sorted pairing is extreme for the cost.  Marginals must
-    have equal size at most ``limit`` (the search is factorial)."""
+                           cost: CostFunction) -> ComonotoneReport:
+    """Pair two uniform marginals every possible way and confirm, within
+    ``1e-12`` relative, that the sorted-with-sorted pairing is extreme
+    for the cost.  Marginals must have equal size at most 7."""
     us = sorted(float(v) for v in pos_values)
     vs = sorted(float(v) for v in neg_values)
     if not us or len(us) != len(vs):
         raise UnsupportedMarginals(
             "need two nonempty value lists of equal size")
-    if len(us) > limit:
+    if len(us) > _MAX_MARGINAL:
         raise UnsupportedMarginals(
             f"{len(us)} points would need {math.factorial(len(us))} "
-            "pairings; reduce to at most "
-            f"{limit}")
+            f"pairings; reduce to at most {_MAX_MARGINAL}")
     n = len(us)
     como = sum(cost(u, v) for u, v in zip(us, vs)) / n
     best = como
@@ -394,7 +404,7 @@ def comonotone_extremality(pos_values: Sequence, neg_values: Sequence,
         else:
             best = min(best, val)
     if cost.canonical_is == "max":
-        ok = como >= best - tol * (1.0 + abs(best))
+        ok = como >= best - 1e-12 * (1.0 + abs(best))
     else:
-        ok = como <= best + tol * (1.0 + abs(best))
+        ok = como <= best + 1e-12 * (1.0 + abs(best))
     return ComonotoneReport(ok, como, best, math.factorial(n))

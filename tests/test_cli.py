@@ -76,6 +76,16 @@ class TestVerify:
         assert code == 1
         assert "NonZeroMean" in err
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_grid_needs_two_levels(self, tmp_path, capsys, grid):
+        src = write_json(tmp_path / "mu.json", EXAMPLE)
+        code, out, err = run(capsys, ["verify", "--input", src,
+                                      "--grid", grid])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputError: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestTest:
     def test_symmetric_reduction_classic_statistic(self, tmp_path, capsys):
@@ -159,6 +169,32 @@ class TestModel:
         assert data["report"]["passed"] is True
         assert len(data["table"]) == 3
 
+    @pytest.mark.parametrize("extra", [
+        ["--p", "abc", "--c", "1"],
+        ["--c", "1"],
+        ["--p", "1", "--c", "1", "--table=-2:2:x"],
+        ["--p", "1", "--c", "1", "--table=-inf:2:3"],
+        ["--p", "1", "--c", "1", "--table=-1e308:1e308:3"],
+    ], ids=["non-numeric-exponent", "missing-exponent", "bad-table-count",
+            "infinite-table-bound", "table-span-overflows"])
+    def test_bad_input_is_one_error_line(self, capsys, extra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["model", "--family", "power",
+                                          *extra])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: InputError: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("p, label", [
+        ("inf", "power(p=inf, c=1.0)"), ("-inf", "power(p=-inf, c=1.0)"),
+        ("2", "power(p=2.0, c=1.0)")], ids=["inf", "minus-inf", "number"])
+    def test_exponent_strings(self, capsys, p, label):
+        code, out, _ = run(capsys, ["model", "--family", "power", f"--p={p}"])
+        assert code == 0
+        assert json.loads(out)["label"] == label
+
 
 class TestOptimal:
     def test_alternative_report(self, tmp_path, capsys):
@@ -225,6 +261,20 @@ class TestEstimate:
                   if line.startswith("error: ")]
         assert len(errors) == 1
         assert errors[0].startswith("error: InputError: ")
+
+    def test_overflowing_resamples_print_one_line(self, tmp_path):
+        src = tmp_path / "xs.txt"
+        src.write_text("1.5e308, -1.5e308, 1")
+        env = {"PYTHONPATH": str(Path(twopoint.__file__).parents[1]),
+               "PATH": ""}
+        done = subprocess.run(
+            [sys.executable, "-m", "twopoint.cli", "estimate", "--input",
+             str(src), "--seed", "1", "--resamples", "100"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: InputError: ")
 
 
 class TestOutputFile:
@@ -311,10 +361,11 @@ BEYOND_FLOAT = '{"atoms": [[-1e400, 0.5], [1e400, 0.5]]}'
     (["disintegrate"], BEYOND_FLOAT),
     (["disintegrate"], '{"atoms": [[-1e400, 0.5], [1, 0.5]]}'),
     (["verify"], BEYOND_FLOAT),
+    (["verify", "--grid", "-1"], json.dumps(EXAMPLE)),
 ], ids=["huge-decimal", "huge-int", "huge-output", "malformed",
         "nan", "infinity", "inf-string", "huge-quoted-mass",
         "huge-quoted-entry", "huge-mass-sum", "beyond-float-atoms",
-        "beyond-float-mean", "beyond-float-verify"])
+        "beyond-float-mean", "beyond-float-verify", "negative-grid"])
 def test_no_traceback(tmp_path, capsys, argv, text):
     src = tmp_path / "mu.json"
     src.write_text(text if text is not None
@@ -341,8 +392,12 @@ ALT = json.dumps({"components": [{"w": "3/10", "a": -2, "b": 1},
     ('{"components": [{"w": -1e-5000, "a": -2, "b": 1}]}', []),
     ('{"components": [{"w": 1e400, "a": -2, "b": 1}]}', []),
     ('{"components": [{"w": 1, "a": 1e-5000, "b": 1}]}', []),
+    (ALT, ["--cost", '{"kind": "ratio_pow", "p": "x"}']),
+    (ALT, ["--cost", '{"kind": "indicator_ge", "a": "x"}']),
+    (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": null}']),
 ], ids=["malformed-cost", "list-component", "huge-quoted-weight",
-        "huge-weight-sum", "huge-quoted-endpoint"])
+        "huge-weight-sum", "huge-quoted-endpoint", "string-ratio-power",
+        "string-threshold", "null-width-power"])
 def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
     src = write_json(tmp_path / "mu.json", FOUR)
     alt_path = tmp_path / "alt.json"

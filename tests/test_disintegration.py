@@ -69,6 +69,16 @@ class TestDecompose:
         with pytest.raises(NotDiscrete):
             decompose(mu)
 
+    def test_sampling_not_discrete(self, rng):
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
+                                      (-1.0, 1.0))
+        with pytest.raises(NotDiscrete):
+            mu.sample(10, rng)
+        with pytest.raises(NotDiscrete, match="sample_pairs"):
+            sample_pairs(mu, 10, rng)
+        with pytest.raises(NotDiscrete):
+            ratio_moments(mu)
+
 
 @st.composite
 def small_exact_measures(draw):
