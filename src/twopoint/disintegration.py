@@ -154,11 +154,11 @@ def _ordered_pieces(measure: ZeroMeanMeasure):
     holds the part ``dh / |x|`` of the atom ``x``."""
     if measure.prob_zero:
         yield measure._zero, 0, measure.prob_zero
-    for lo, hi, a, b, a_live, b_live in zip(*measure._level_table()):
+    for dh, _, a, b, a_live, b_live in zip(*measure._level_table()):
         if a_live:
-            yield a, b, (hi - lo) / -a
+            yield a, b, dh / -a
         if b_live:
-            yield b, a, (hi - lo) / b
+            yield b, a, dh / b
 
 
 def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
@@ -199,10 +199,14 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
     us = rng.random(int(n))
     locs, _ = measure._float_tables()
     table = measure._level_table()
-    base = np.array(measure._atom_bases(), dtype=float)
-    jump = np.array([abs(l) * p for l, p in measure.atoms], dtype=float)
+    # from cumulative units: an int over D divides correctly rounded, as
+    # the float of the Fraction level would
+    unit = measure._unit
+    steps = measure._steps.values()  # in atom order
+    base = np.array([c / unit for c, _ in steps])
+    jump = np.array([c / unit for _, c in steps])
     # rounding may push a level past the top piece, never past another one
-    row = np.minimum(np.searchsorted(np.array(table.hi, dtype=float),
+    row = np.minimum(np.searchsorted(np.array([h / unit for h in table.hi]),
                                      base[idx] + jump[idx] * us),
                      len(table.hi) - 1)
     xs = locs[idx]
@@ -223,7 +227,7 @@ def _level_integral(measure: ZeroMeanMeasure, f: Callable):
     ``(0, m)`` where both sides carry mass: an exact sum over the level
     table of a discrete measure, one quadrature on an analytic one."""
     if measure.backend == "discrete":
-        return sum((hi - lo) * f(a, b) for lo, hi, a, b, a_live, b_live
+        return sum(dh * f(a, b) for dh, _, a, b, a_live, b_live
                    in zip(*measure._level_table()) if a_live and b_live)
     # imported here so that importing twopoint loads no scipy
     from scipy import integrate

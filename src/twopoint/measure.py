@@ -14,11 +14,12 @@ here together with the objects the rest of the package is built on:
   partner of the opposite sign, and the same-side map ``regularize``.
 
 Two backends are provided.  The *discrete* backend stores atoms
-explicitly and keeps every derived quantity as an exact
-:class:`fractions.Fraction` whenever all inputs are ints, Fractions, or
-numeric strings; float inputs stay floats (no pretending a binary float
-is the decimal it prints as).  Samples are converted to a discrete
-measure with equal weights and merged ties.  The *analytic* backend
+explicitly and keeps every derived quantity exact whenever all inputs
+are ints, Fractions, or numeric strings (floats stay floats): levels are
+ints over the lcm ``D`` of the denominators of the jumps ``|x| p``, cut
+by ``ceil(h D)`` at a level ``h``, and a :class:`fractions.Fraction` is
+built only where a level leaves the API.  Samples get equal weights with
+counted ties.  The *analytic* backend
 wraps a continuous cumulative curve supplied as a callable, with
 inverses computed by bisection.
 
@@ -38,9 +39,10 @@ from __future__ import annotations
 import math
 import reprlib
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -144,9 +146,10 @@ def _check_level(h):
 class LevelTable(NamedTuple):
     """The canonical pairing of a discrete measure, one tuple per column.
 
-    Piece ``k`` covers the levels ``lo[k] < h <= hi[k]``; the pieces cut
-    ``(0, max(G(-inf), G(inf))]`` at every cumulative level of either
-    side, so on each one ``x_minus(h) = a[k]`` and ``x_plus(h) = b[k]``.
+    The pieces cut ``(0, max(G(-inf), G(inf))]`` at every cumulative
+    level of either side; piece ``k`` ends at ``hi[k]`` (an int over ``D``
+    when exact), is ``dh[k]`` wide (a level as the API gives it), and has
+    ``x_minus(h) = a[k]`` and ``x_plus(h) = b[k]`` on it.
     ``a_live[k]`` and ``b_live[k]`` say whether the negative and the
     positive side still carry mass there.  The one-sided totals differ by
     the mean that ``mean_tolerance`` let through; past the smaller one
@@ -154,7 +157,7 @@ class LevelTable(NamedTuple):
     one when it has no atoms at all.
     """
 
-    lo: tuple
+    dh: tuple
     hi: tuple
     a: tuple
     b: tuple
@@ -175,11 +178,6 @@ def _bisect(below, lo, hi, tol, steps):
         else:
             hi = mid
     return lo, hi
-
-
-def _side_atom(locs, k, far):
-    """Atom ``k`` of one side, its last atom past the end, or ``far``."""
-    return locs[min(k, len(locs) - 1)] if locs else far
 
 
 class ZeroMeanMeasure:
@@ -271,20 +269,26 @@ class ZeroMeanMeasure:
         By default the sample mean is subtracted first.  Integer or
         Fraction samples keep the whole construction exact.
         """
-        values = [_as_number(v) for v in np.asarray(samples).ravel().tolist()] \
-            if isinstance(samples, np.ndarray) else [_as_number(v) for v in samples]
-        n = len(values)
+        raw = np.asarray(samples).ravel().tolist() \
+            if isinstance(samples, np.ndarray) else list(samples)
+        n = len(raw)
         if n == 0:
             raise EmptySample("no observations supplied")
+        if any(isinstance(v, (float, np.floating)) for v in raw):
+            # floats stay floats, each observation adding its own weight
+            values, masses = [_as_number(v) for v in raw], repeat(1.0 / n)
+        else:
+            try:  # ties counted on the raw entries, typed so True is not 1
+                counts = Counter(zip(map(type, raw), raw))
+            except TypeError:  # an unhashable entry, which is no number
+                counts = Counter((None, _as_number(v)) for v in raw)
+            values = [_as_number(v) for _, v in counts]
+            masses = [Fraction(c, n) for c in counts.values()]
         if all(v == values[0] for v in values):
             raise ConstantSample("all observations are equal")
-        exact = all(isinstance(v, Fraction) for v in values)
-        if exact:
-            w = Fraction(1, n)
-        else:
+        if not all(isinstance(v, Fraction) for v in values):
             values = [float(v) for v in values]
-            w = 1.0 / n
-        return cls.from_atoms(((v, w) for v in values), recentre=recentre,
+        return cls.from_atoms(zip(values, masses), recentre=recentre,
                               mean_tolerance=mean_tolerance)
 
     @classmethod
@@ -323,19 +327,26 @@ class ZeroMeanMeasure:
         self._mass_map = dict(zip(self._locs, self._masses))
         self._p0 = self._mass_map.get(0, self._zero)
 
-        self._pos_locs = [l for l in self._locs if l > 0]
-        self._neg_locs = [l for l in self._locs if l < 0][::-1]  # descending
-        self._pos_cum = list(accumulate(l * self._mass_map[l]
-                                        for l in self._pos_locs))
-        self._neg_cum = list(accumulate(-l * self._mass_map[l]
-                                        for l in self._neg_locs))
-        self._pos_total = self._pos_cum[-1] if self._pos_cum else self._zero
-        self._neg_total = self._neg_cum[-1] if self._neg_cum else self._zero
-        # keys for bisecting the negative side, ascending in |loc|
-        self._neg_keys = [-l for l in self._neg_locs]
+        # the jumps |x| p of G in cumulative units, ints over D when exact
+        jumps = [abs(l) * p for l, p in zip(self._locs, self._masses)]
+        unit = math.lcm(*(j.denominator for j in jumps)) if exact else 1
+        if exact:
+            jumps = [j.numerator * (unit // j.denominator) for j in jumps]
+        self._unit = unit
+        neg, pos = bisect_left(self._locs, 0), bisect_right(self._locs, 0)
+        self._pos_locs = self._locs[pos:]
+        self._neg_locs = self._locs[:neg][::-1]  # descending
+        nil = 0 if exact else 0.0
+        self._pos_cum = list(accumulate(jumps[pos:], initial=nil))
+        self._neg_cum = list(accumulate(jumps[:neg][::-1], initial=nil))
+        # atom -> (G just short of it, its jump), in atom order
+        bases = (self._neg_cum[-2::-1] + self._pos_cum[:1] * (pos - neg)
+                 + self._pos_cum[:-1])
+        self._steps = dict(zip(self._locs, zip(bases, jumps)))
 
-        self._m = (self._pos_total + self._neg_total) / 2
-        self._cummass = list(accumulate(self._masses))
+        self._m = self._frac(self._pos_cum[-1] + self._neg_cum[-1],
+                             2 * self._unit)
+        self._cummass = list(accumulate(self._masses, initial=self._zero))
 
         self._np_cache = None
         self._table = None
@@ -421,22 +432,34 @@ class ZeroMeanMeasure:
                 f"cumulative evaluator returned nan at {_shown(x)}")
         return min(max(val, 0.0), float(self._m))
 
-    def _cum(self, x, closed: bool):
-        """Discrete ``G`` over the atoms on the side of ``x`` strictly
-        between zero and ``x``, or up to ``x`` itself when ``closed``."""
-        find = bisect_right if closed else bisect_left
-        if x >= 0:
-            idx, cum = find(self._pos_locs, x), self._pos_cum
-        else:
-            idx, cum = find(self._neg_keys, -x), self._neg_cum
-        return cum[idx - 1] if idx else self._zero
+    def _frac(self, num, den):
+        """``num / den`` as the API gives it (``c / D`` for a level ``c``)."""
+        return Fraction(num, den) if self._exact else num / den
+
+    def _at(self, x):
+        """``(G just short of x, the jump of G at x)``, cumulative units."""
+        step = self._steps.get(x)
+        if step is not None:
+            return step
+        locs, cum = ((self._pos_locs, self._pos_cum) if x >= 0
+                     else (self._neg_locs, self._neg_cum))
+        return cum[bisect_left(locs, abs(x), key=abs)], cum[0]
+
+    def _key(self, h):
+        """Level ``h`` as a bound on the cumulative lists: ``ceil(h D)`` on
+        the lattice, ``h`` itself on a float measure and at ``inf``."""
+        if not self._exact or h == INF:
+            return h
+        num, den = h.as_integer_ratio()
+        return -(-num * self._unit // den)
 
     def g(self, x):
         """The cumulative curve ``G`` at ``x`` (extended reals allowed)."""
         x = _query_number(x)
         if self._backend == "analytic":
             return self._g_eval(x)
-        return self._cum(x, True)
+        base, jump = self._at(x)
+        return self._frac(base + jump, self._unit)
 
     def g_tilde(self, x, u):
         """Randomized cumulative curve: the jump of G at an atom ``x`` is
@@ -445,48 +468,44 @@ class ZeroMeanMeasure:
         x = _query_number(x)
         if self._backend == "analytic":
             return self._g_eval(x)
-        base = self._cum(x, False)
-        p = self._mass_map.get(x)
-        return base if (p is None or x == 0) else base + abs(x) * p * u
+        base, jump = self._at(x)
+        level = self._frac(base, self._unit)
+        return level + abs(x) * self._mass_map[x] * u if jump else level
 
     # -- generalized inverses ---------------------------------------------
 
     def x_plus(self, h):
         """Smallest ``x >= 0`` with ``G(x) >= h`` (``inf`` when none)."""
-        return self._invert(h, 1)
+        return self._invert(self._key(_check_level(h)), 1)
 
     def x_minus(self, h):
         """Largest ``x <= 0`` with ``G(x) >= h`` (``-inf`` when none)."""
-        return self._invert(h, -1)
+        return self._invert(self._key(_check_level(h)), -1)
 
     #: relative bisection tolerance for analytic inverses
     _BISECT_EPS = 1e-12
 
-    def _invert(self, h, sign: int):
-        """``x_plus(h)`` (``sign = 1``) or ``x_minus(h)`` (``sign = -1``).
-        On the analytic curve it is ``sign`` times the smallest ``y >= 0``
-        with ``G(sign y) >= h``, by bisection in ``y``."""
-        h = _check_level(h)
-        if h == 0:
+    def _invert(self, key, sign: int):
+        """``x_plus`` (``sign = 1``) or ``x_minus`` (``sign = -1``) at level
+        ``key`` (see :meth:`_key`), by bisection in ``|x|`` if analytic."""
+        if not key:
             return 0
         if self._backend == "discrete":
             cum, locs = ((self._pos_cum, self._pos_locs) if sign > 0
                          else (self._neg_cum, self._neg_locs))
-            idx = bisect_left(cum, h)
-            return locs[idx] if idx < len(cum) else sign * INF
+            idx = bisect_left(cum, key)
+            return locs[idx - 1] if idx < len(cum) else sign * INF
 
         def at(y):
             return sign * y + 0.0  # + 0.0 turns -0.0 into 0.0
 
         m = float(self._m)
-        h = float(h)
-        if h > m:
-            return sign * INF
+        h = float(key)
         end = self._hi if sign > 0 else -self._lo
+        # on unbounded support G stays strictly below m at finite x
+        if h > m or (end == INF and h >= m):
+            return sign * INF
         if end == INF:
-            if h >= m:
-                # unbounded support: G stays strictly below m at finite x
-                return sign * INF
             hi = 1.0
             while self._g_eval(at(hi)) < h:
                 hi *= 2.0
@@ -495,11 +514,9 @@ class ZeroMeanMeasure:
         else:
             hi = float(end)
             ghi = self._g_eval(at(hi))
-            if ghi < h:
-                if h - ghi <= 1e-9 * max(1.0, m):
-                    h = ghi  # absorb evaluator round-off at the endpoint
-                else:
-                    return sign * INF
+            if h - ghi > 1e-9 * max(1.0, m):
+                return sign * INF
+            h = min(h, ghi)  # absorb evaluator round-off at the endpoint
         if self._g_eval(0.0) >= h:
             return 0.0
         _, hi = _bisect(lambda y: self._g_eval(at(y)) < h, 0.0, hi,
@@ -508,69 +525,65 @@ class ZeroMeanMeasure:
 
     # -- reciprocating maps -----------------------------------------------
 
+    def _through(self, x, u, side: int):
+        """``g_tilde(x, u)`` through the inverse on ``x``'s side, or on the
+        other for ``side = -1``; exact ``x`` and ``u`` key it on D."""
+        x, u = _query_number(x), _check_u(u)
+        if self._exact and isinstance(x, Fraction) and isinstance(u, Fraction):
+            base, jump = self._at(x)
+            key = base - (-jump * u.numerator // u.denominator)
+        else:
+            key = self._key(self.g_tilde(x, u))
+        return self._invert(key, side if x >= 0 else -side)
+
     def reciprocate(self, x, u=1):
         """Opposite-sign partner ``r(x, u)`` of ``x`` at randomization ``u``."""
-        xv = _query_number(x)
-        h = self.g_tilde(xv, u)
-        if xv >= 0:
-            return self.x_minus(h)
-        return self.x_plus(h)
+        return self._through(x, u, -1)
 
     def regularize(self, x, u=1):
         """Same-side regularization: the point ``x`` snaps to once the
         curve level ``g_tilde(x, u)`` is pushed back through the same-side
         inverse.  Equals ``x`` almost surely under the measure itself."""
-        xv = _query_number(x)
-        h = self.g_tilde(xv, u)
-        if xv >= 0:
-            return self.x_plus(h)
-        return self.x_minus(h)
+        return self._through(x, u, 1)
 
     def v_map(self, x, u=1):
         """Randomization level ``v`` that makes reciprocation involutive:
         ``reciprocate(reciprocate(x, u), v) == regularize(x, u)``."""
-        xv = _query_number(x)
-        u = _check_u(u)
-        h = self.g_tilde(xv, u)
-        y = self.reciprocate(xv, u)
+        x, u = _query_number(x), _check_u(u)
+        y = self.reciprocate(x, u)
         if self._backend == "analytic":
             return 1.0
-        if y == 0 or y == INF or y == NEG_INF:
+        lower, jump = self._at(y)  # G just short of y, and its jump there
+        if lower + jump == lower:
             return self._one
-        lower = self._cum(y, False)  # G just short of y
-        gy = self._cum(y, True)
-        if gy == lower:
-            return self._one
-        return (h - lower) / (gy - lower)
+        if self._exact and isinstance(x, Fraction) and isinstance(u, Fraction):
+            base, rise = self._at(x)
+            num, den = u.as_integer_ratio()
+            return Fraction((base - lower) * den + rise * num, jump * den)
+        low = self._frac(lower, self._unit)
+        return ((self.g_tilde(x, u) - low)
+                / (self._frac(lower + jump, self._unit) - low))
 
     # -- the canonical pairing ---------------------------------------------
 
     def _level_table(self) -> LevelTable:
         """The :class:`LevelTable` of a discrete measure, built once from
-        one merge of the two cumulative lists."""
+        the cumulative levels of both sides."""
         if self._table is None:
             pos, neg = self._pos_cum, self._neg_cum
+            levels = sorted({*pos[1:], *neg[1:]})
+            # a spent side keeps its last atom, an empty one is infinite
+            a_side = self._neg_locs or [NEG_INF]
+            b_side = self._pos_locs or [INF]
             rows = []
-            lo, i, j = self._zero, 0, 0
-            while i < len(pos) or j < len(neg):
-                hi = min(pos[i:i + 1] + neg[j:j + 1])
-                rows.append((lo, hi, _side_atom(self._neg_locs, j, NEG_INF),
-                             _side_atom(self._pos_locs, i, INF),
+            for lo, hi in zip(pos[:1] + levels, levels):
+                i, j = bisect_left(pos, hi), bisect_left(neg, hi)
+                rows.append((self._frac(hi - lo, self._unit), hi,
+                             a_side[min(j, len(a_side)) - 1],
+                             b_side[min(i, len(b_side)) - 1],
                              j < len(neg), i < len(pos)))
-                while i < len(pos) and pos[i] <= hi:
-                    i += 1
-                while j < len(neg) and neg[j] <= hi:
-                    j += 1
-                lo = hi
             self._table = LevelTable(*zip(*rows))
         return self._table
-
-    def _atom_bases(self):
-        """``g_tilde(x, 0)`` at every atom ``x``, in atom order."""
-        zero = [self._zero]
-        neg = (zero + self._neg_cum)[:-1]
-        pos = (zero + self._pos_cum)[:-1]
-        return neg[::-1] + (zero if self._p0 else []) + pos
 
     def u_segments(self, x):
         """Partition of ``u`` in ``(0, 1]`` into maximal pieces on which
@@ -585,21 +598,18 @@ class ZeroMeanMeasure:
         x = _query_number(x)
         if self._backend == "analytic":
             return [(0.0, 1.0, self.reciprocate(x, 1))]
-        if x == 0:
-            return [(self._zero, self._one, 0)]
-        p = self._mass_map.get(x)
-        jump = self._zero if p is None else abs(x) * p
+        base, jump = self._at(x)
         if jump == 0:
             return [(self._zero, self._one, self.reciprocate(x, 1))]
         table = self._level_table()
-        base = self._cum(x, False)
         partners = table.a if x > 0 else table.b
+        low, step = self._frac(base, self._unit), abs(x) * self._mass_map[x]
         # a float jump too small to move the cumulative sum has no piece
         # of its own and takes the one just above its base
         first = min(bisect_right(table.hi, base), len(table.hi) - 1)
-        last = bisect_left(table.hi, base + jump, first)
-        cuts = [self._zero, *((h - base) / jump for h in table.hi[first:last]),
-                self._one]
+        last = bisect_left(table.hi, self._key(low + step), first)
+        cuts = [self._zero, *((self._frac(h, self._unit) - low) / step
+                              for h in table.hi[first:last]), self._one]
         return [(u_lo, u_hi, r) for u_lo, u_hi, r
                 in zip(cuts, cuts[1:], partners[first:last + 1])
                 if u_hi > u_lo]
@@ -608,27 +618,20 @@ class ZeroMeanMeasure:
 
     def h_plus(self, h):
         """``E[X 1{X > 0, g_tilde(X, U) <= h}]``; equals ``min(h, m)``."""
-        h = _check_level(h)
-        self._require_discrete("h_plus")
-        return self._mass_below(self._pos_cum, h)
+        return self._mass_below(h, 1, "h_plus")
 
     def h_minus(self, h):
         """Mirror of :meth:`h_plus` on the negative side."""
-        h = _check_level(h)
-        self._require_discrete("h_minus")
-        return self._mass_below(self._neg_cum, h)
+        return self._mass_below(h, -1, "h_minus")
 
-    def _mass_below(self, cum, h):
-        """The part of one side's cumulative list ``cum`` at levels up to
-        ``h``, summed piece by piece."""
-        total = prev = self._zero
-        for level in cum:
-            if h >= level:
-                total = total + (level - prev)
-            elif h > prev:
-                total = total + (h - prev)
-            prev = level
-        return total
+    def _mass_below(self, h, sign, what):
+        """One side's cumulative levels up to ``h``, summed by pieces."""
+        h = _check_level(h)
+        self._require_discrete(what)
+        cum = self._pos_cum if sign > 0 else self._neg_cum
+        levels = [self._frac(c, self._unit) for c in cum]
+        return sum((min(level, h) - prev for prev, level
+                    in zip(levels, levels[1:]) if h > prev), levels[0])
 
     # -- distribution queries ---------------------------------------------
 
@@ -639,15 +642,13 @@ class ZeroMeanMeasure:
             if self._cdf_fn is None:
                 raise InputError("this analytic measure carries no cdf")
             return float(self._cdf_fn(float(x)))
-        idx = bisect_right(self._locs, x)
-        return self._cummass[idx - 1] if idx else self._zero
+        return self._cummass[bisect_right(self._locs, x)]
 
     def cdf_left(self, x):
         """``P(X < x)``."""
         x = _query_number(x)
         self._require_discrete("cdf_left")
-        idx = bisect_left(self._locs, x)
-        return self._cummass[idx - 1] if idx else self._zero
+        return self._cummass[bisect_left(self._locs, x)]
 
     def f_tilde(self, x, u):
         """Randomized distribution transform ``F(x-) + u (F(x) - F(x-))``;
@@ -670,10 +671,7 @@ class ZeroMeanMeasure:
         else:
             half = float(self.x_plus(self._m / 2))
             half = max(half, float(-self.x_minus(self._m / 2)), 1e-9)
-            top = []
-            for bound in (self._hi, -self._lo):
-                if bound != INF:
-                    top.append(float(bound))
+            top = [float(b) for b in (self._hi, -self._lo) if b != INF]
             reach = max(top) if top else 8.0 * half
             probes = list(np.linspace(0.0, reach, 65)[1:])
         for t in probes:

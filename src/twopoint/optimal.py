@@ -310,17 +310,23 @@ class CostComparison:
     satisfied: bool
 
     def to_jsonable(self) -> dict:
+        try:
+            values = float(self.canonical), float(self.alternative)
+        except OverflowError:
+            raise InputError(
+                f"{self.label}: a cost past the float range has no JSON "
+                f"number (canonical {_approx(self.canonical)}, "
+                f"alternative {_approx(self.alternative)})")
         return {"cost": self.label, "canonical_is": self.direction,
-                "canonical": float(self.canonical),
-                "alternative": float(self.alternative),
+                "canonical": values[0], "alternative": values[1],
                 "satisfied": self.satisfied}
 
 
 def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction, alt, *,
                  enforce: bool = False) -> CostComparison:
     """Compare the canonical representation against an alternative on
-    one cost, within ``1e-9`` relative; with ``enforce`` a violated
-    inequality raises
+    one cost, exactly when both values are exact and else within ``1e-9``
+    relative; with ``enforce`` a violated inequality raises
     :class:`~twopoint.errors.OptimalityViolated`."""
     if not isinstance(alt, MixtureDecomposition):
         alt = alternative_disintegration(measure, alt)
@@ -329,16 +335,22 @@ def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction, alt, *,
                   for nu, (w, law) in zip(weights, alt)
                   if not law.is_degenerate)
     can_val = canonical_cost(measure, cost)
-    scale = _TOL * (1.0 + abs(float(can_val)) + abs(float(alt_val)))
-    if cost.canonical_is == "max":
-        ok = float(can_val) >= float(alt_val) - scale
+    if isinstance(can_val, numbers.Rational) and isinstance(
+            alt_val, numbers.Rational):
+        # exact values can lie past the float range; no rounding to absorb
+        gap = can_val - alt_val
+        ok = gap >= 0 if cost.canonical_is == "max" else gap <= 0
     else:
-        ok = float(can_val) <= float(alt_val) + scale
+        scale = _TOL * (1.0 + abs(float(can_val)) + abs(float(alt_val)))
+        if cost.canonical_is == "max":
+            ok = float(can_val) >= float(alt_val) - scale
+        else:
+            ok = float(can_val) <= float(alt_val) + scale
     cmp = CostComparison(cost.label, cost.canonical_is, can_val, alt_val, ok)
     if enforce and not ok:
         raise OptimalityViolated(
-            f"{cost.label}: canonical {float(can_val)!r} is not the "
-            f"{cost.canonical_is} against alternative {float(alt_val)!r}")
+            f"{cost.label}: canonical {_approx(can_val)} is not the "
+            f"{cost.canonical_is} against alternative {_approx(alt_val)}")
     return cmp
 
 

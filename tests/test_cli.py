@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import shlex
 import subprocess
 import sys
 import warnings
@@ -395,9 +396,12 @@ ALT = json.dumps({"components": [{"w": "3/10", "a": -2, "b": 1},
     (ALT, ["--cost", '{"kind": "ratio_pow", "p": "x"}']),
     (ALT, ["--cost", '{"kind": "indicator_ge", "a": "x"}']),
     (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": null}']),
+    (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": 1000}']),
+    (ALT, ["--cost", '{"kind": "ratio_pow", "p": 2000}']),
 ], ids=["malformed-cost", "list-component", "huge-quoted-weight",
         "huge-weight-sum", "huge-quoted-endpoint", "string-ratio-power",
-        "string-threshold", "null-width-power"])
+        "string-threshold", "null-width-power", "beyond-float-width-power",
+        "beyond-float-ratio-power"])
 def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
     src = write_json(tmp_path / "mu.json", FOUR)
     alt_path = tmp_path / "alt.json"
@@ -408,3 +412,25 @@ def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
     assert code == 1
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_sample_commands(tmp_path, capsys):
+    """The README's sample file and every documented command that reads
+    it: each prints JSON and exits 0."""
+    lines = README.read_text().splitlines()
+    make = next(line for line in lines if line.endswith("> xs.txt"))
+    words = shlex.split(make)
+    assert words[:2] == ["printf", "%s\\n"]
+    xs = tmp_path / "xs.txt"
+    xs.write_text("\n".join(words[2:words.index(">")]) + "\n")
+    commands = [shlex.split(line) for line in lines
+                if line.startswith("twopoint ") and "xs.txt" in line]
+    assert len(commands) >= 3
+    for argv in commands:
+        argv = [str(xs) if word == "xs.txt" else word for word in argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        json.loads(out)

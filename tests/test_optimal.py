@@ -11,8 +11,8 @@ from twopoint import (AlternativeDisintegration, ZeroMeanMeasure,
                       custom_cost, indicator_ge, marginal_check,
                       neg_abs_diff_pow, norm_report, ratio_pow,
                       tilted_weights, two_point)
-from twopoint.errors import (BadP, NotADisintegration, NotSuperadditive,
-                             OptimalityViolated, Unbounded,
+from twopoint.errors import (BadP, InputError, NotADisintegration,
+                             NotSuperadditive, OptimalityViolated, Unbounded,
                              UnsupportedMarginals)
 
 
@@ -154,6 +154,16 @@ class TestComparisons:
         data = cost_compare(symmetric_four, abs_sum_pow(1),
                             alt).to_jsonable()
         assert data["satisfied"] is True
+
+    @pytest.mark.parametrize("cost", [abs_sum_pow(1000), ratio_pow(2000)],
+                             ids=["width", "ratio"])
+    def test_beyond_float_costs_compare_exactly(self, symmetric_four, alt,
+                                                cost):
+        cmp = cost_compare(symmetric_four, cost, alt, enforce=True)
+        assert cmp.satisfied
+        assert cmp.canonical != cmp.alternative
+        with pytest.raises(InputError, match="float range"):
+            cmp.to_jsonable()
 
 
 class TestComonotone:
