@@ -28,10 +28,9 @@ from .modeling import (AsymmetryPattern, CurveReport, ReciprocatingCurve,
                        curve_table, family_from_spec, from_asymmetry_pattern,
                        hyperbolic_family, power_family, two_slope_family,
                        validate_curve, validate_x_pm)
-from .optimal import (AlternativeDisintegration, ComonotoneReport,
-                      CostComparison, CostFunction, MarginalReport,
-                      NormReport, abs_sum_pow, alternative_disintegration,
-                      canonical_cost, canonical_disintegration,
+from .optimal import (ComonotoneReport, CostComparison, CostFunction,
+                      MarginalReport, NormReport, abs_sum_pow,
+                      alternative_disintegration, canonical_cost,
                       comonotone_extremality, cost_compare, cost_from_spec,
                       custom_cost, indicator_ge, marginal_check,
                       neg_abs_diff_pow, norm_report, ratio_pow,
@@ -103,9 +102,7 @@ __all__ = [
     "ratio_pow",
     "custom_cost",
     "cost_from_spec",
-    "AlternativeDisintegration",
     "alternative_disintegration",
-    "canonical_disintegration",
     "tilted_weights",
     "MarginalReport",
     "marginal_check",

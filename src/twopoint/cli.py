@@ -212,8 +212,7 @@ def _cmd_model(args, out) -> int:
         {k: v for k, v in spec.items() if v is not None})
     report = None
     if args.validate:
-        report = modeling.validate_curve(
-            curve, check_derivative=curve.smooth_at_zero)
+        report = modeling.validate_curve(curve)
     rows = None if grid is None else modeling.curve_table(curve, grid)
     if rows is not None and report is None:
         # a plain table request yields CSV

@@ -21,14 +21,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InfiniteEndpoint,
     InputError,
     NotDiscrete,
     SameSign,
     Unbounded,
 )
-from .measure import (INF, NEG_INF, ZeroMeanMeasure, _approx, _as_number,
-                      _query_number, _shown)
+from .measure import ZeroMeanMeasure, _query_number, _shown
 
 __all__ = [
     "TwoPointLaw",
@@ -130,23 +128,6 @@ class MixtureDecomposition:
         return {"components": [{"a": law.a, "b": law.b, "w": w}
                                for w, law in self.components]}
 
-    @classmethod
-    def from_jsonable(cls, obj) -> "MixtureDecomposition":
-        if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
-            raise InputError("decomposition object must carry a "
-                             "'components' list")
-        comps = []
-        for entry in obj["components"]:
-            w = _as_number(entry["w"])
-            if w <= 0:
-                raise InputError("component weight must be positive: "
-                                 f"{_shown(entry)}")
-            comps.append((w, two_point(entry["a"], entry["b"])))
-        total = sum(w for w, _ in comps)
-        if abs(total - 1) > 1e-9:
-            raise InputError(f"component weights sum to {_approx(total)}")
-        return cls(tuple(comps))
-
 
 def _ordered_pieces(measure: ZeroMeanMeasure):
     """``(x, partner, weight)`` for the atom at zero and for every level
@@ -173,10 +154,6 @@ def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
         raise NotDiscrete("decompose requires a discrete measure")
     weights: dict = {}
     for x, partner, w in _ordered_pieces(measure):
-        if partner == INF or partner == NEG_INF:
-            raise InfiniteEndpoint(
-                f"atom {_shown(x)} pairs with an infinite partner; the "
-                "measure has no atoms on the other side")
         key = (x, partner) if x <= partner else (partner, x)
         weights[key] = weights.get(key, 0) + w
     comps = tuple((weights[key], two_point(*key)) for key in sorted(weights))

@@ -61,11 +61,6 @@ class DimensionMismatch(InputError):
     """Callable arity does not match the number of coordinates supplied."""
 
 
-class InfiniteEndpoint(TwopointError):
-    """A disintegration component acquired an infinite endpoint; the measure
-    cannot be decomposed into finite two-point laws."""
-
-
 # --- self-normalized statistics -------------------------------------------
 
 class LengthMismatch(InputError):
@@ -96,10 +91,6 @@ class NotLogConcave(TwopointError):
     """The computed Bernoulli log-tail is not concave, so its log-linear
     interpolation would not majorize it; a numerical problem, not bad
     input."""
-
-
-class InfiniteGamma(TwopointError):
-    """No finite asymmetry ratio exists for this measure."""
 
 
 # --- curve modeling -------------------------------------------------------
@@ -136,11 +127,6 @@ class NotSuperadditive(InputError):
 
 class UnsupportedMarginals(InputError):
     """Exhaustive coupling search limited to small equal-size marginals."""
-
-
-class OptimalityViolated(TwopointError):
-    """A certified-superadditive cost ranked the couplings the wrong way;
-    this indicates a numerical problem, not bad input."""
 
 
 # --- estimation -----------------------------------------------------------

@@ -126,13 +126,12 @@ class EmpiricalPartners:
         return np.abs(self.values * self.partners)
 
 
-def empirical_partners(xs, *, recentre: bool = True) -> EmpiricalPartners:
-    """Partner of every observation under the empirical pairing.
-
-    With ``recentre`` (the default) the sample mean is subtracted first;
-    the values returned are the recentred ones."""
+def empirical_partners(xs) -> EmpiricalPartners:
+    """Partner of every observation under the empirical pairing of the
+    sample recentred by its mean; the values returned are the recentred
+    ones."""
     arr = _as_rows(xs)
-    total = np.array([arr.sum() if recentre else 0.0])
+    total = np.array([arr.sum()])
     order = np.argsort(arr, kind="stable")
     _, R = _sorted_partners(arr[order][None, :], total)
     partners = np.empty_like(arr)

@@ -152,9 +152,9 @@ class LevelTable(NamedTuple):
     ``x_minus(h) = a[k]`` and ``x_plus(h) = b[k]`` on it.
     ``a_live[k]`` and ``b_live[k]`` say whether the negative and the
     positive side still carry mass there.  The one-sided totals differ by
-    the mean that ``mean_tolerance`` let through; past the smaller one
-    the spent side keeps its last atom as the partner, or an infinite
-    one when it has no atoms at all.
+    the mean that the tolerance of :meth:`ZeroMeanMeasure.from_atoms` let
+    through (or by float rounding); past the smaller one the spent side
+    keeps its last atom as the partner.
     """
 
     dh: tuple
@@ -199,14 +199,14 @@ class ZeroMeanMeasure:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_atoms(cls, atoms: Iterable, *, recentre: bool = False,
-                   mean_tolerance=None) -> "ZeroMeanMeasure":
+    def from_atoms(cls, atoms: Iterable, *,
+                   recentre: bool = False) -> "ZeroMeanMeasure":
         """Build a discrete measure from ``(location, mass)`` pairs.
 
         Duplicate locations are merged.  Masses must be positive and sum
         to one within ``1e-12``.  Unless ``recentre`` is set the weighted
-        mean must vanish within ``mean_tolerance`` (default
-        ``1e-9 * E|X|``); with ``recentre`` the mean is subtracted first,
+        mean must vanish within ``1e-9 * E|X|``, so both sides of zero
+        carry mass; with ``recentre`` the mean is subtracted first,
         exactly so on the rational path.
         """
         pairs = []
@@ -251,10 +251,7 @@ class ZeroMeanMeasure:
         abs_mean = sum(abs(l) * p for l, p in zip(locs, masses))
         if abs_mean == 0:
             raise DegenerateAtZero("all mass sits at zero")
-        if mean_tolerance is None:
-            tol = abs_mean * Fraction(MEAN_TOL_FACTOR)
-        else:
-            tol = _as_number(mean_tolerance)
+        tol = abs_mean * Fraction(MEAN_TOL_FACTOR)
         if abs(mean) > tol:
             raise NonZeroMean(
                 f"mean is {_approx(mean)}, beyond tolerance {_approx(tol)}")
@@ -262,12 +259,10 @@ class ZeroMeanMeasure:
         return cls(_backend="discrete", locs=locs, masses=masses, exact=exact)
 
     @classmethod
-    def from_samples(cls, samples, *, recentre: bool = True,
-                     mean_tolerance=None) -> "ZeroMeanMeasure":
-        """Empirical measure of ``samples``: equal weights, ties merged.
-
-        By default the sample mean is subtracted first.  Integer or
-        Fraction samples keep the whole construction exact.
+    def from_samples(cls, samples) -> "ZeroMeanMeasure":
+        """Empirical measure of ``samples``: equal weights, ties merged,
+        the sample mean subtracted.  Integer or Fraction samples keep the
+        whole construction exact.
         """
         raw = np.asarray(samples).ravel().tolist() \
             if isinstance(samples, np.ndarray) else list(samples)
@@ -288,8 +283,7 @@ class ZeroMeanMeasure:
             raise ConstantSample("all observations are equal")
         if not all(isinstance(v, Fraction) for v in values):
             values = [float(v) for v in values]
-        return cls.from_atoms(zip(values, masses), recentre=recentre,
-                              mean_tolerance=mean_tolerance)
+        return cls.from_atoms(zip(values, masses), recentre=True)
 
     @classmethod
     def analytic(cls, g: Callable[[float], float], m, support,
@@ -417,8 +411,8 @@ class ZeroMeanMeasure:
     def __repr__(self):
         if self._backend == "discrete":
             return (f"ZeroMeanMeasure(discrete, {len(self._locs)} atoms, "
-                    f"m={float(self._m):.6g})")
-        return f"ZeroMeanMeasure(analytic, m={float(self._m):.6g})"
+                    f"m={_approx(self._m)})")
+        return f"ZeroMeanMeasure(analytic, m={_approx(self._m)})"
 
     # -- cumulative curve --------------------------------------------------
 
@@ -572,9 +566,8 @@ class ZeroMeanMeasure:
         if self._table is None:
             pos, neg = self._pos_cum, self._neg_cum
             levels = sorted({*pos[1:], *neg[1:]})
-            # a spent side keeps its last atom, an empty one is infinite
-            a_side = self._neg_locs or [NEG_INF]
-            b_side = self._pos_locs or [INF]
+            # a spent side keeps its last atom
+            a_side, b_side = self._neg_locs, self._pos_locs
             rows = []
             for lo, hi in zip(pos[:1] + levels, levels):
                 i, j = bisect_left(pos, hi), bisect_left(neg, hi)
@@ -664,8 +657,9 @@ class ZeroMeanMeasure:
     # -- symmetry ----------------------------------------------------------
 
     def is_symmetric(self) -> bool:
-        """Whether G is even within ``1e-12`` (scaled by ``max(1, m)``)."""
-        scale = 1e-12 * max(1.0, float(self._m))
+        """Whether G is even within ``1e-12`` (scaled by ``max(1, m)``),
+        in exact arithmetic on an exact measure."""
+        scale = self._frac(1, 10 ** 12) * max(1, self._m)
         if self._backend == "discrete":
             probes = sorted({abs(l) for l in self._locs if l != 0})
         else:
@@ -675,7 +669,7 @@ class ZeroMeanMeasure:
             reach = max(top) if top else 8.0 * half
             probes = list(np.linspace(0.0, reach, 65)[1:])
         for t in probes:
-            if abs(float(self.g(t)) - float(self.g(-t))) > scale:
+            if abs(self.g(t) - self.g(-t)) > scale:
                 return False
         return True
 
@@ -712,7 +706,7 @@ class ZeroMeanMeasure:
         }
 
     @classmethod
-    def from_jsonable(cls, obj, **kwargs) -> "ZeroMeanMeasure":
+    def from_jsonable(cls, obj) -> "ZeroMeanMeasure":
         """Inverse of :meth:`to_jsonable`.
 
         Entries may be numbers or rational strings such as ``"3/10"``;
@@ -727,4 +721,4 @@ class ZeroMeanMeasure:
         for entry in atoms:
             if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
                 raise InputError(f"atom entry {_shown(entry)} is not a pair")
-        return cls.from_atoms(atoms, **kwargs)
+        return cls.from_atoms(atoms)

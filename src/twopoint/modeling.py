@@ -386,17 +386,20 @@ def _probe_grid(curve: ReciprocatingCurve) -> np.ndarray:
     return np.concatenate([np.sort(neg), [0.0], pos])
 
 
-def validate_curve(curve: ReciprocatingCurve, tol: float = 1e-9,
-                   check_derivative: bool = True) -> CurveReport:
+#: tolerance of ``r(0) = 0`` and of the involution in :func:`validate_curve`
+_CURVE_TOL = 1e-9
+
+
+def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
     """Probe ``r(0) = 0``, strict decrease, continuity, boundary
-    constancy, and the involution on a 201-point grid; optionally also
-    the slope ``-1`` at zero via Richardson-extrapolated central
-    differences."""
+    constancy, and the involution on a 201-point grid; for a curve that
+    is ``smooth_at_zero`` also the slope ``-1`` at zero via
+    Richardson-extrapolated central differences."""
     failures = []
     xs = _probe_grid(curve)
     rs = np.array([curve(x) for x in xs])
 
-    if abs(curve(0.0)) > tol:
+    if abs(curve(0.0)) > _CURVE_TOL:
         failures.append(f"r(0) = {curve(0.0)!r} is not 0")
 
     # double precision cannot separate values this close to a finite
@@ -430,8 +433,9 @@ def validate_curve(curve: ReciprocatingCurve, tol: float = 1e-9,
             continue
         back = curve(r)
         inv_err = max(inv_err, abs(back - x) / (1.0 + abs(x)))
-    if inv_err > tol:
-        failures.append(f"involution error {inv_err!r} exceeds {tol!r}")
+    if inv_err > _CURVE_TOL:
+        failures.append(
+            f"involution error {inv_err!r} exceeds {_CURVE_TOL!r}")
 
     for bound, other in ((curve.a_plus, curve.a_minus),
                          (curve.a_minus, curve.a_plus)):
@@ -441,7 +445,7 @@ def validate_curve(curve: ReciprocatingCurve, tol: float = 1e-9,
                 failures.append(f"not constant beyond endpoint {bound!r}")
 
     deriv = None
-    if check_derivative:
+    if curve.smooth_at_zero:
         span = min(1.0, (curve.a_plus - curve.a_minus) / 8
                    if math.isfinite(curve.a_plus - curve.a_minus) else 1.0)
         h1, h2 = 1e-3 * span, 1e-4 * span

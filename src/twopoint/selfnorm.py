@@ -25,7 +25,6 @@ from .errors import (
     AsymmetryViolated,
     BadLambda,
     BadP,
-    InfiniteGamma,
     InputError,
     LambdaTooSmall,
     LengthMismatch,
@@ -387,17 +386,8 @@ def asymmetry_certificate(measure: ZeroMeanMeasure) -> AsymmetryCertificate:
     """Certify the positive-side ratio bound of a discrete measure."""
     if measure.backend != "discrete":
         raise NotDiscrete("asymmetry certificates need a discrete measure")
-    gamma = None
-    for _w, law in decompose(measure):
-        if law.is_degenerate:
-            continue
-        if law.a == 0:
-            raise InfiniteGamma("a positive atom pairs with zero")
-        ratio = law.b / (-law.a)
-        if gamma is None or ratio > gamma:
-            gamma = ratio
-    if gamma is None:
-        raise InfiniteGamma("measure has no nondegenerate components")
+    gamma = max(law.b / -law.a for _w, law in decompose(measure)
+                if not law.is_degenerate)
     return AsymmetryCertificate(gamma, 1 / (1 + gamma))
 
 

@@ -249,8 +249,7 @@ def test_c09_modeling_invariants_thirty_settings():
         assert len(curves) == 30
 
         for curve in curves:
-            rep = validate_curve(curve, tol=1e-9,
-                                 check_derivative=curve.smooth_at_zero)
+            rep = validate_curve(curve)
             assert rep.passed, (curve.label, rep.failures)
             assert rep.involution_error <= 1e-9, curve.label
             assert curve(0.0) == 0.0, curve.label

@@ -17,7 +17,7 @@ from twopoint.errors import (BadLambda, BadLevel, ConstantSample,
 
 class TestPartners:
     def test_small_exact(self):
-        ep = empirical_partners([3.0, -1.0, -1.0, -1.0], recentre=False)
+        ep = empirical_partners([3.0, -1.0, -1.0, -1.0])
         assert list(ep.partners) == [-1.0, 3.0, 3.0, 3.0]
         assert list(ep.widths) == [4.0] * 4
         assert list(ep.products) == [3.0] * 4
@@ -26,7 +26,7 @@ class TestPartners:
         # on a balanced tied sample the empirical partner of each value
         # is its mirror image, exactly as under the fitted law
         xs = [-2.0, -1.0, -1.0, 1.0, 1.0, 2.0]
-        ep = empirical_partners(xs, recentre=False)
+        ep = empirical_partners(xs)
         assert list(ep.partners) == [2.0, 1.0, 1.0, -1.0, -1.0, -2.0]
         mu = ZeroMeanMeasure.from_samples(xs)
         assert float(mu.m) == pytest.approx(2.0 / 3.0)
@@ -39,7 +39,7 @@ class TestPartners:
         assert np.allclose(ep1.partners[perm], ep2.partners)
 
     def test_zero_stays_zero(self):
-        ep = empirical_partners([-1.0, 0.0, 1.0], recentre=False)
+        ep = empirical_partners([-1.0, 0.0, 1.0])
         assert ep.partners[1] == 0.0
 
     def test_recentring_default(self):
@@ -57,11 +57,11 @@ class TestPartners:
             empirical_partners([1.0, math.inf])
 
 
-def raw_partner_lists(xs, recentre=True):
+def raw_partner_lists(xs):
     """Per distinct value, the sorted raw partners of its copies under
     the float pairing and under the exact one, where the ``k``-th of
     ``c`` copies takes the level ``u = (2k + 1) / (2c)``."""
-    ep = empirical_partners(np.array(xs, dtype=float), recentre=recentre)
+    ep = empirical_partners(np.array(xs, dtype=float))
     raw_of = dict(zip(ep.values.tolist(), xs))
     got = {}
     for x, r in zip(xs, ep.partners.tolist()):
@@ -89,7 +89,7 @@ class TestExactPairing:
     def test_without_recentring(self):
         # a zero-sum sample: the raw values are the recentred ones
         xs = [-3, -1, -1, 0, 2, 2, 1]
-        got, want = raw_partner_lists(xs, recentre=False)
+        got, want = raw_partner_lists(xs)
         assert got == want
 
     def test_cancelling_huge_sample(self):

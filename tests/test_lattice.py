@@ -159,12 +159,11 @@ WEIGHTS = st.lists(st.integers(1, 9), min_size=8, max_size=8)
 
 @st.composite
 def measures(draw):
-    """A discrete measure of one of five kinds: exact and recentred,
-    exact with an atom at zero, exact and one-sided under a loose
-    ``mean_tolerance``, exact and off-centre under a loose tolerance, or
+    """A discrete measure of one of four kinds: exact and recentred,
+    exact with an atom at zero, exact with a nonzero mean inside the
+    default tolerance (one side is spent on the top level piece), or
     float."""
-    kind = draw(st.sampled_from(
-        ["exact", "zero-atom", "one-sided", "loose", "float"]))
+    kind = draw(st.sampled_from(["exact", "zero-atom", "tiny-mean", "float"]))
     locs = draw(st.lists(RATIONALS.filter(bool), min_size=2, max_size=8,
                          unique=True))
     weights = draw(WEIGHTS)[:len(locs)]
@@ -173,13 +172,10 @@ def measures(draw):
         return ZeroMeanMeasure.from_atoms(
             [(float(l), float(p)) for l, p in zip(locs, masses)],
             recentre=True)
-    if kind == "one-sided":
-        return ZeroMeanMeasure.from_atoms(
-            [(abs(l), p) for l, p in zip(locs, masses)], mean_tolerance=100)
-    if kind == "loose":
-        return ZeroMeanMeasure.from_atoms(zip(locs, masses),
-                                          mean_tolerance=100)
     mu = ZeroMeanMeasure.from_atoms(zip(locs, masses), recentre=True)
+    if kind == "tiny-mean":
+        shift = draw(st.sampled_from([-1, 1])) * mu.m / 10 ** 10
+        return ZeroMeanMeasure.from_atoms((l + shift, p) for l, p in mu.atoms)
     if kind == "zero-atom":
         q = F(draw(st.integers(1, 9)), 10)
         mu = ZeroMeanMeasure.from_atoms(
@@ -206,6 +202,17 @@ def boundary_levels(ref, mu, extra):
 
 U_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
 
+#: mean 10^-12: past the negative total 1/2 only the positive side is live
+TINY_MEAN = ZeroMeanMeasure.from_atoms(
+    [(-1, "1/2"), (F(1, 2), "1/4"), (F(3, 2) + F(4, 10 ** 12), "1/4")])
+
+
+def test_tiny_mean_spends_one_side():
+    table = TINY_MEAN._level_table()
+    assert list(zip(table.a_live, table.b_live)) == [
+        (True, True), (True, True), (False, True)]
+    assert table.a[-1] == -1
+
 
 class TestAgainstFractionCurve:
     @settings(max_examples=150)
@@ -214,6 +221,7 @@ class TestAgainstFractionCurve:
     @example(ZeroMeanMeasure.from_atoms(
         [(-1, "5/10"), (0, "1/10"), (1, "3/10"), (2, "1/10")]),
         F(3, 2), F(3, 5), 0.5, F(3, 10))
+    @example(TINY_MEAN, F(1, 2), F(1, 2), 0.5, F(1, 2))
     def test_every_curve_query(self, mu, x_extra, u_extra, u_float, h_extra):
         ref = FractionCurve(mu)
         us = [F(0), F(1), 0, 1, u_extra, u_float]
@@ -231,6 +239,7 @@ class TestAgainstFractionCurve:
 
     @settings(max_examples=50)
     @given(measures(), U_FRACTIONS)
+    @example(TINY_MEAN, F(1, 2))
     def test_partner_of_the_partner(self, mu, u):
         """The partner's partner at ``v = v_map(x, u)``: queries at points
         and levels that the lattice itself computed."""
@@ -276,10 +285,9 @@ def test_involution_on_distinct_prime_denominators():
 
 class TestSampleTies:
     def test_integer_ties_are_counted(self):
-        values = [3, -1, 3, 0, -1, -1, 3, "3", F(-1)]
-        mu = ZeroMeanMeasure.from_samples(values, recentre=False,
-                                          mean_tolerance=10)
-        assert mu.atoms == ((-1, F(4, 9)), (0, F(1, 9)), (3, F(4, 9)))
+        values = [1, -1, 1, 0, -1, -1, 1, "1", F(-1)]  # sum zero
+        mu = ZeroMeanMeasure.from_samples(values)
+        assert mu.atoms == ((-1, F(4, 9)), (0, F(1, 9)), (1, F(4, 9)))
         assert all(type(v) is F for atom in mu.atoms for v in atom)
 
     def test_same_measure_as_one_atom_per_sample(self):

@@ -188,6 +188,14 @@ class TestDistribution:
         assert not four_atom.is_symmetric()
         assert symmetric_four.is_symmetric()
 
+    def test_half_mean_beyond_float_range(self):
+        big = 10 ** 400
+        mu = ZeroMeanMeasure.from_atoms([(-big, "1/2"), (big, "1/2")])
+        assert repr(mu) == "ZeroMeanMeasure(discrete, 2 atoms, m=~5E+399)"
+        assert mu.is_symmetric()
+        skew = ZeroMeanMeasure.from_atoms([(-big, "2/3"), (2 * big, "1/3")])
+        assert not skew.is_symmetric()
+
     def test_sampling(self, four_atom, rng):
         draws = four_atom.sample(4000, rng)
         vals, counts = np.unique(draws, return_counts=True)

@@ -1,5 +1,6 @@
 """Curve families, pattern round trips, and the two validators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,11 +78,13 @@ class TestTwoSlope:
         assert two_slope_family(1.0).smooth_at_zero
 
     def test_kink_fails_derivative_check(self):
-        rep = validate_curve(two_slope_family(2.0), check_derivative=True)
+        kinked = two_slope_family(2.0)
+        rep = validate_curve(dataclasses.replace(kinked, smooth_at_zero=True))
         assert not rep.passed
         assert any("slope" in f for f in rep.failures)
-        rep = validate_curve(two_slope_family(2.0), check_derivative=False)
+        rep = validate_curve(kinked)
         assert rep.passed, rep.failures
+        assert rep.derivative_at_zero is None
 
 
 class TestHyperbolic:
@@ -137,14 +140,14 @@ class TestValidateCurve:
         assert data["passed"] is True
 
     def test_flat_curve_rejected(self):
-        flat = ReciprocatingCurve(-INF, INF, lambda x: -1.0, "flat", True)
-        rep = validate_curve(flat, check_derivative=False)
+        flat = ReciprocatingCurve(-INF, INF, lambda x: -1.0, "flat", False)
+        rep = validate_curve(flat)
         assert not rep.passed
         assert any("decreasing" in f or "zero" in f for f in rep.failures)
 
     def test_non_involution_rejected(self):
-        cube = ReciprocatingCurve(-INF, INF, lambda x: -x ** 3, "cube", True)
-        rep = validate_curve(cube, check_derivative=False)
+        cube = ReciprocatingCurve(-INF, INF, lambda x: -x ** 3, "cube", False)
+        rep = validate_curve(cube)
         assert not rep.passed
         assert any("involution" in f for f in rep.failures)
 

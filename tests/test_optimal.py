@@ -4,15 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from twopoint import (AlternativeDisintegration, ZeroMeanMeasure,
+from twopoint import (CostFunction, MixtureDecomposition, ZeroMeanMeasure,
                       abs_sum_pow, alternative_disintegration,
-                      canonical_cost, canonical_disintegration,
-                      comonotone_extremality, cost_compare, cost_from_spec,
-                      custom_cost, indicator_ge, marginal_check,
-                      neg_abs_diff_pow, norm_report, ratio_pow,
-                      tilted_weights, two_point)
+                      canonical_cost, comonotone_extremality, cost_compare,
+                      cost_from_spec, custom_cost, decompose, indicator_ge,
+                      marginal_check, neg_abs_diff_pow, norm_report,
+                      ratio_pow, tilted_weights, two_point)
 from twopoint.errors import (BadP, InputError, NotADisintegration,
-                             NotSuperadditive, OptimalityViolated, Unbounded,
+                             NotSuperadditive, Unbounded,
                              UnsupportedMarginals)
 
 
@@ -25,12 +24,12 @@ def alt(symmetric_four):
 
 class TestDisintegrations:
     def test_canonical_weights(self, symmetric_four):
-        can = canonical_disintegration(symmetric_four)
+        can = decompose(symmetric_four)
         got = {(law.a, law.b): w for w, law in can}
         assert got == {(F(-1), F(1)): F(4, 5), (F(-2), F(2)): F(1, 5)}
 
     def test_tilted_weights(self, symmetric_four, alt):
-        can = canonical_disintegration(symmetric_four)
+        can = decompose(symmetric_four)
         nus = tilted_weights(can, symmetric_four.m)
         by_pair = {(law.a, law.b): nu
                    for nu, (_w, law) in zip(nus, can.components)}
@@ -44,8 +43,8 @@ class TestDisintegrations:
         assert rep.discrepancy == 0.0
 
     def test_marginals_fail_for_fake(self, symmetric_four):
-        fake = AlternativeDisintegration(((F(1, 2), two_point(-1, 1)),
-                                          (F(1, 2), two_point(-2, 2))))
+        fake = MixtureDecomposition(((F(1, 2), two_point(-1, 1)),
+                                     (F(1, 2), two_point(-2, 2))))
         rep = marginal_check(symmetric_four, fake)
         assert not rep.passed
         assert rep.discrepancy > 0.0
@@ -129,12 +128,10 @@ class TestComparisons:
         assert len(rep.rows) == 5
         assert {row.direction for row in rep.rows} == {"max", "min"}
 
-    def test_enforce(self, symmetric_four, alt):
-        wrong_way = custom_cost(lambda u, v: u * v, "min", check=False)
+    def test_wrong_way_cost_not_satisfied(self, symmetric_four, alt):
+        wrong_way = CostFunction(lambda u, v: u * v, "min", "wrong_way")
         cmp = cost_compare(symmetric_four, wrong_way, alt)
         assert not cmp.satisfied
-        with pytest.raises(OptimalityViolated):
-            cost_compare(symmetric_four, wrong_way, alt, enforce=True)
 
     def test_analytic_canonical(self):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
@@ -146,7 +143,7 @@ class TestComparisons:
     def test_analytic_infinite_cost(self):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
                                       (-1.0, 1.0))
-        cost = custom_cost(lambda u, v: float("inf"), "max", check=False)
+        cost = CostFunction(lambda u, v: float("inf"), "max", "infinite")
         with pytest.raises(Unbounded):
             canonical_cost(mu, cost)
 
@@ -159,7 +156,7 @@ class TestComparisons:
                              ids=["width", "ratio"])
     def test_beyond_float_costs_compare_exactly(self, symmetric_four, alt,
                                                 cost):
-        cmp = cost_compare(symmetric_four, cost, alt, enforce=True)
+        cmp = cost_compare(symmetric_four, cost, alt)
         assert cmp.satisfied
         assert cmp.canonical != cmp.alternative
         with pytest.raises(InputError, match="float range"):
