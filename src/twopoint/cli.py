@@ -362,6 +362,10 @@ def main(argv=None) -> int:
     except TwopointError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; report the public name
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ __all__ = [
     "side_masses_from_levels",
     "RatioMoments",
     "ratio_moments",
+    "component_ratio_moment",
     "TiltedAtoms",
     "tilt",
     "UniformityReport",
@@ -286,13 +287,11 @@ class RatioMoments:
     ``ex_over_r`` is ``E X / r(X, U)`` (identically ``-1``);
     ``er_over_x`` is ``E r(X, U) / X``, which is ``-1`` precisely for
     symmetric measures and strictly below ``-1`` otherwise.  Ratios at
-    the origin are read as ``-1``.  ``components`` lists
-    ``(a, b, weight, er_over_x)`` per mixture component.
+    the origin are read as ``-1``.
     """
 
     ex_over_r: object
     er_over_x: object
-    components: tuple
 
 
 def component_ratio_moment(law: TwoPointLaw):
@@ -305,9 +304,8 @@ def component_ratio_moment(law: TwoPointLaw):
 def ratio_moments(measure: ZeroMeanMeasure) -> RatioMoments:
     """Partner-ratio moments of a discrete measure, exact through
     :func:`decompose`."""
-    comps = tuple((law.a, law.b, w, component_ratio_moment(law))
-                  for w, law in decompose(measure))
-    return RatioMoments(-1, sum(w * c for _, _, w, c in comps), comps)
+    return RatioMoments(-1, sum(w * component_ratio_moment(law)
+                                for w, law in decompose(measure)))
 
 
 # --- tilted laws ----------------------------------------------------------
@@ -367,7 +365,7 @@ KS_COEFF_99 = math.sqrt(0.5 * math.log(2.0 / 0.01))
 
 
 def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
-                     n: int = 100_000, rng=None) -> UniformityReport:
+                     n: int = 100_000, *, rng) -> UniformityReport:
     """Kolmogorov distance to the uniform law for one of the two pivotal
     transforms:
 
@@ -383,8 +381,6 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
                          f"pick one of {UNIFORMITY_KINDS}")
     if measure.backend != "discrete":
         raise NotDiscrete("uniformity_check requires a discrete measure")
-    if rng is None:
-        raise InputError("uniformity_check needs an rng")
     n = int(n)
     us = rng.random(n)
     if which == "G_tilde_Y":
@@ -409,7 +405,7 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
 # --- joint disintegration -------------------------------------------------
 
 def joint_disintegrate(measures: Sequence[ZeroMeanMeasure], g: Callable,
-                       n: int = 100_000, rng=None):
+                       n: int, rng):
     """Monte Carlo check of the coordinate-wise disintegration identity
     for discrete coordinate measures.
 
@@ -421,8 +417,6 @@ def joint_disintegrate(measures: Sequence[ZeroMeanMeasure], g: Callable,
     """
     if not measures:
         raise InputError("need at least one coordinate measure")
-    if rng is None:
-        raise InputError("joint_disintegrate needs an rng")
     n = int(n)
     lhs_cols = []
     rhs_cols = []

@@ -117,14 +117,6 @@ class EmpiricalPartners:
     values: np.ndarray
     partners: np.ndarray
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.abs(self.values - self.partners)
-
-    @property
-    def products(self) -> np.ndarray:
-        return np.abs(self.values * self.partners)
-
 
 def empirical_partners(xs) -> EmpiricalPartners:
     """Partner of every observation under the empirical pairing of the

@@ -43,7 +43,7 @@ from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -286,9 +286,8 @@ class ZeroMeanMeasure:
         return cls.from_atoms(zip(values, masses), recentre=True)
 
     @classmethod
-    def analytic(cls, g: Callable[[float], float], m, support,
-                 *, cdf: Optional[Callable[[float], float]] = None
-                 ) -> "ZeroMeanMeasure":
+    def analytic(cls, g: Callable[[float], float], m,
+                 support) -> "ZeroMeanMeasure":
         """Wrap a continuous cumulative curve ``g``.
 
         ``g(x)`` must be nondecreasing in ``|x|`` on either side of zero,
@@ -296,8 +295,8 @@ class ZeroMeanMeasure:
         (a pair ``(lo, hi)`` with ``lo < 0 < hi``, infinities allowed).
         The backend assumes ``g`` is continuous, i.e. the measure has no
         atoms off zero; an atom *at* zero is fine and never shows up in
-        ``g``.  An optional ``cdf`` callable enables distribution
-        queries; sampling needs a discrete measure.
+        ``g``.  Distribution queries and sampling need a discrete
+        measure.
         """
         m = _as_number(m)
         if not m > 0:
@@ -308,7 +307,7 @@ class ZeroMeanMeasure:
         if not (lo < 0 < hi):
             raise InputError(
                 f"support must straddle zero, got {_shown(support)}")
-        return cls(_backend="analytic", g=g, m=m, lo=lo, hi=hi, cdf=cdf)
+        return cls(_backend="analytic", g=g, m=m, lo=lo, hi=hi)
 
     # -- backend setup -----------------------------------------------------
 
@@ -345,12 +344,11 @@ class ZeroMeanMeasure:
         self._np_cache = None
         self._table = None
 
-    def _init_analytic(self, *, g, m, lo, hi, cdf):
+    def _init_analytic(self, *, g, m, lo, hi):
         self._g_raw = g
         self._m = m
         self._lo = lo
         self._hi = hi
-        self._cdf_fn = cdf
         self._exact = False
 
     # -- basic properties --------------------------------------------------
@@ -631,10 +629,7 @@ class ZeroMeanMeasure:
     def cdf(self, x):
         """``P(X <= x)``."""
         x = _query_number(x)
-        if self._backend == "analytic":
-            if self._cdf_fn is None:
-                raise InputError("this analytic measure carries no cdf")
-            return float(self._cdf_fn(float(x)))
+        self._require_discrete("cdf")
         return self._cummass[bisect_right(self._locs, x)]
 
     def cdf_left(self, x):

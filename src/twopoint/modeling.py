@@ -249,19 +249,19 @@ def cubic_rate_family(alpha, c) -> ReciprocatingCurve:
 # --- pattern construction -------------------------------------------------
 
 def _invert_increasing(f: Callable[[float], float], target: float,
-                       hi_cap: float = INF, tol: float = 1e-13) -> float:
+                       hi_cap: float) -> float:
     """Solve ``f(w) = target`` for increasing ``f`` with ``f(0) = 0``."""
     if target <= 0.0:
         return 0.0
-    hi = 1.0 if hi_cap == INF else min(1.0, hi_cap)
+    hi = min(1.0, hi_cap)
     while f(hi) < target:
         if hi > 1e300:
             return hi
-        hi = hi * 2.0 if hi_cap == INF else min(hi * 2.0, hi_cap)
+        hi = min(hi * 2.0, hi_cap)
         if hi == hi_cap and f(hi) < target:
             break
     lo = 0.0 if hi <= 1.0 else hi / 2.0
-    lo, hi = _bisect(lambda w: f(w) < target, lo, hi, tol, 200)
+    lo, hi = _bisect(lambda w: f(w) < target, lo, hi, 1e-13, 200)
     return 0.5 * (lo + hi)
 
 
@@ -326,15 +326,13 @@ def asymmetry_pattern_of(curve: ReciprocatingCurve) -> AsymmetryPattern:
     """
 
     def a_from_pos(w):
-        x = _invert_increasing(lambda t: t - curve(t), w,
-                               curve.a_plus if curve.a_plus != INF else INF)
+        x = _invert_increasing(lambda t: t - curve(t), w, curve.a_plus)
         # at the root r = x - w, so the sum follows from x alone; this
         # avoids re-evaluating the curve where it is steep
         return 2.0 * x - w
 
     def a_from_neg(w):
-        y = _invert_increasing(lambda t: curve(-t) + t, w,
-                               -curve.a_minus if curve.a_minus != NEG_INF else INF)
+        y = _invert_increasing(lambda t: curve(-t) + t, w, -curve.a_minus)
         return w - 2.0 * y
 
     wb = curve.a_plus - curve.a_minus
@@ -578,7 +576,7 @@ def validate_x_pm(y_plus: Callable[[float], float],
     bottom = ym(m)
     support = (bottom if math.isfinite(bottom) else NEG_INF,
                top if math.isfinite(top) else INF)
-    measure = ZeroMeanMeasure.analytic(g_curve, m, support, cdf=cdf)
+    measure = ZeroMeanMeasure.analytic(g_curve, m, support)
     return XpmReport(True, measure, p_zero, cdf)
 
 

@@ -308,12 +308,11 @@ class CostComparison:
 
 
 def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction,
-                 alt) -> CostComparison:
-    """Compare the canonical representation against an alternative on
-    one cost, exactly when both values are exact and else within ``1e-9``
-    relative."""
-    if not isinstance(alt, MixtureDecomposition):
-        alt = alternative_disintegration(measure, alt)
+                 alt: MixtureDecomposition) -> CostComparison:
+    """Compare the canonical representation against an alternative one,
+    from :func:`~twopoint.disintegration.decompose` or
+    :func:`alternative_disintegration`, on one cost: exactly when both
+    values are exact and else within ``1e-9`` relative."""
     weights = tilted_weights(alt, measure.m)
     alt_val = sum(nu * cost(law.b, -law.a)
                   for nu, (w, law) in zip(weights, alt)
@@ -349,11 +348,10 @@ class NormReport:
                 "passed": self.passed}
 
 
-def norm_report(measure: ZeroMeanMeasure, alt) -> NormReport:
-    """Compare a representative panel of costs: endpoint gap, width
-    powers, and the endpoint ratio."""
-    if not isinstance(alt, MixtureDecomposition):
-        alt = alternative_disintegration(measure, alt)
+def norm_report(measure: ZeroMeanMeasure,
+                alt: MixtureDecomposition) -> NormReport:
+    """Compare a representative panel of costs on an alternative
+    representation: endpoint gap, width powers, and the endpoint ratio."""
     panel = (neg_abs_diff_pow(1), neg_abs_diff_pow(2), abs_sum_pow(1),
              abs_sum_pow(2), ratio_pow(1))
     return NormReport(tuple(cost_compare(measure, c, alt) for c in panel))

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import io
 import json
 import shlex
 import subprocess
@@ -108,6 +109,21 @@ class TestTest:
         assert code == 1
         assert "BadP" in err
 
+    def test_non_numeric_sample_is_one_error_line(self, tmp_path, capsys):
+        src = tmp_path / "xs.txt"
+        src.write_text("1 abc 2\n")
+        code, out, err = run(capsys, ["test", "--input", str(src)])
+        assert (code, out) == (1, "")
+        assert err == ("error: InputError: not a number in sample input: "
+                       "'abc'\n")
+
+    def test_reads_stdin(self, capsys, monkeypatch):
+        # the README sample
+        monkeypatch.setattr(sys, "stdin", io.StringIO("-3\n-1\n-1\n0\n2\n3\n"))
+        code, out, _ = run(capsys, ["test", "--input", "-"])
+        assert code == 0
+        assert json.loads(out)["n"] == 6
+
     def test_width_norm_overflow_is_quiet(self, tmp_path, capsys):
         src = tmp_path / "xs.txt"
         src.write_text("1.5e308 -1.5e308 1")
@@ -188,6 +204,13 @@ class TestModel:
         assert err.startswith("error: InputError: ")
         assert len(err.splitlines()) == 1
 
+    def test_validate_cubic_rate(self, capsys):
+        code, out, _ = run(capsys, ["model", "--family", "cubic_rate",
+                                    "--alpha", "0.5", "--c", "1",
+                                    "--validate"])
+        assert code == 0
+        assert json.loads(out)["report"]["passed"] is True
+
     @pytest.mark.parametrize("p, label", [
         ("inf", "power(p=inf, c=1.0)"), ("-inf", "power(p=-inf, c=1.0)"),
         ("2", "power(p=2.0, c=1.0)")], ids=["inf", "minus-inf", "number"])
@@ -223,6 +246,20 @@ class TestOptimal:
         assert code == 0
         data = json.loads(out)
         assert data["comparison"]["satisfied"] is True
+
+
+    def test_float_cost_within_tolerance(self, tmp_path, capsys):
+        src = write_json(tmp_path / "mu.json", FOUR)
+        alt = tmp_path / "alt.json"
+        alt.write_text(ALT)
+        code, out, _ = run(capsys, [
+            "optimal", "--input", src, "--alt", str(alt),
+            "--cost", '{"kind": "abs_sum_pow", "p": 2.5}'])
+        assert code == 0
+        data = json.loads(out)["comparison"]
+        assert data["canonical"] == 14.437902832994922
+        assert data["alternative"] == 12.277922928577391
+        assert data["satisfied"] is True
 
 
 class TestEstimate:
@@ -276,6 +313,26 @@ class TestEstimate:
         assert done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: InputError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--family", "power", "--p", "2", "--c", "1",
+     f"--table=0:1:{10**15}"],
+    ["verify", "--input", "mu.json", "--grid", str(10**15)],
+    ["estimate", "--input", "xs.txt", "--seed", "7",
+     "--resamples", str(10**15)],
+], ids=["model-table", "verify-grid", "estimate-resamples"])
+def test_memory_error_is_one_line(tmp_path, capsys, argv):
+    # each array would pass any 64-bit address space, so numpy refuses it
+    # before allocating anything, whatever the overcommit policy
+    write_json(tmp_path / "mu.json", EXAMPLE)
+    (tmp_path / "xs.txt").write_text("-3 -1 -1 0 2 3\n")
+    argv = [str(tmp_path / word) if word.endswith((".json", ".txt"))
+            else word for word in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MemoryError: ")
+    assert len(err.splitlines()) == 1
 
 
 class TestOutputFile:

@@ -19,8 +19,8 @@ class TestPartners:
     def test_small_exact(self):
         ep = empirical_partners([3.0, -1.0, -1.0, -1.0])
         assert list(ep.partners) == [-1.0, 3.0, 3.0, 3.0]
-        assert list(ep.widths) == [4.0] * 4
-        assert list(ep.products) == [3.0] * 4
+        assert list(abs(ep.values - ep.partners)) == [4.0] * 4
+        assert list(abs(ep.values * ep.partners)) == [3.0] * 4
 
     def test_matches_measure_pairing(self):
         # on a balanced tied sample the empirical partner of each value

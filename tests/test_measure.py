@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from twopoint import INF, NEG_INF, ZeroMeanMeasure
 from twopoint.errors import (BadMass, DegenerateAtZero, EmptySample,
                              ConstantSample, InputError, NegativeH,
-                             NonZeroMean)
+                             NonZeroMean, NotDiscrete)
 
 
 class TestConstruction:
@@ -242,3 +242,13 @@ class TestAnalytic:
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
                                       (-1.0, 1.0))
         assert mu.is_symmetric()
+
+    def test_uniform_has_no_atoms(self):
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4, 0.25, (-1, 1))
+        assert mu.v_map(0.5) == 1.0
+        assert mu.u_segments(0.5) == [(0.0, 1.0, -0.5)]
+        assert mu.support == (-1.0, 1.0)
+        assert mu.mass_at(0.5) == 0.0
+        assert repr(mu) == "ZeroMeanMeasure(analytic, m=0.25)"
+        with pytest.raises(NotDiscrete):
+            mu.cdf(0.5)
