@@ -359,7 +359,8 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as out:
                 return args.fn(args, out)
         return args.fn(args, sys.stdout)
-    except TwopointError as exc:
+    except (TwopointError, OSError) as exc:
+        # an OSError is a file that cannot be opened, read or written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -10,12 +10,14 @@ a trial mean is subtracted, so the normalized pivot is linear in the
 trial mean and percentile bootstrap quantiles of the pivot invert to a
 closed-form interval.
 
-The partner computation is vectorized across bootstrap resamples: all
-rows are sorted at once and each side's cumulative levels are summed
-once.  Levels live on the lattice ``n x - sum(x)``, ``n`` times the
-recentred values, so on integer data a level that meets a cumulative
-level compares exactly.  Each row then looks up its partners with one
-``searchsorted`` per side.
+The partner computation is vectorized across bootstrap resamples, which
+are drawn, sorted and paired in chunks of rows of a fixed byte size:
+memory stays flat in the number of resamples, and a chunk's arrays stay
+small enough for the cache.  Within a chunk each side's cumulative
+levels are summed once per row.  Levels live on the lattice
+``n x - sum(x)``, ``n`` times the recentred values, so on integer data a
+level that meets a cumulative level compares exactly.  Each row then
+looks up its partners with one ``searchsorted`` per side.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ __all__ = [
 ]
 
 PIVOT_KINDS = ("W", "Y_lambda")
+
+#: bytes of one float array over a chunk of bootstrap resamples; the
+#: dozen such temporaries of a chunk then fit in a core's cache
+_CHUNK_BYTES = 1 << 17
 
 
 def _as_rows(xs) -> np.ndarray:
@@ -69,9 +75,22 @@ def _covering(cum: np.ndarray, w: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.minimum(idx, h.shape[1] - 1)
 
 
-def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
+def _lattice_shift(arr: np.ndarray) -> int:
+    """Exponent of the power of two that scales the lattice of ``arr``
+    and of every resample of it.
+
+    The lattice ``n D - sum(x) = n S`` is exact on integer data while its
+    cumulative sums stay below 2^53; an exact power of two scales it
+    where they could pass the float range, moving no comparison unless
+    it rounds subnormal values.  The whole sample fixes it, so a row's
+    partners do not depend on the rows it is computed with."""
+    _, e = math.frexp(float(np.abs(arr).max()))
+    return min(0, 1021 - e - 2 * arr.size.bit_length())
+
+
+def _sorted_partners(D: np.ndarray, total: np.ndarray, shift: int) -> tuple:
     """Recentred values and partners of row-sorted raw samples ``D``
-    with row sums ``total``.
+    with row sums ``total``, on the lattice scaled by ``2**shift``.
 
     Each entry's level is the midpoint of its own slice of the
     cumulative lattice weight on its side, and the partner is the
@@ -80,11 +99,6 @@ def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
     their order."""
     n = D.shape[1]
     S = D - (total / n)[:, None]
-    # the lattice n D - sum(x) = n S is exact on integer data while its
-    # cumulative sums stay below 2^53; an exact power of two scales it
-    # where they could pass the float range, moving no comparison
-    _, e = math.frexp(float(np.abs(D).max(initial=0.0)))
-    shift = min(0, 1021 - e - 2 * n.bit_length())
     L = math.ldexp(n, shift) * D - np.ldexp(total, shift)[:, None]
     pos = np.maximum(L, 0.0)
     neg = np.maximum(-L, 0.0)[:, ::-1]  # outwards from zero
@@ -94,9 +108,9 @@ def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
     return S, np.where(L > 0, from_neg, np.where(L < 0, from_pos, 0.0))
 
 
-def _den_rows(D: np.ndarray, total: np.ndarray, kind: str,
+def _den_rows(D: np.ndarray, total: np.ndarray, shift: int, kind: str,
               lam: float) -> np.ndarray:
-    S, R = _sorted_partners(D, total)
+    S, R = _sorted_partners(D, total, shift)
     return _studentizer(S, R, None if kind == "W" else lam)
 
 
@@ -125,7 +139,8 @@ def empirical_partners(xs) -> EmpiricalPartners:
     arr = _as_rows(xs)
     total = np.array([arr.sum()])
     order = np.argsort(arr, kind="stable")
-    _, R = _sorted_partners(arr[order][None, :], total)
+    _, R = _sorted_partners(arr[order][None, :], total,
+                            _lattice_shift(arr))
     partners = np.empty_like(arr)
     partners[order] = R[0]
     return EmpiricalPartners(arr - total[0] / arr.size, partners)
@@ -141,7 +156,7 @@ def denominator(xs, kind: str = "W", lam: float = 1.0) -> float:
         raise ConstantSample("constant sample has no spread to "
                              "normalize by")
     return float(_den_rows(np.sort(arr)[None, :], np.array([arr.sum()]),
-                           kind, lam)[0])
+                           _lattice_shift(arr), kind, lam)[0])
 
 
 def pivot(xs, theta, kind: str = "W", lam: float = 1.0) -> float:
@@ -219,12 +234,20 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
 
     if rng is None:
         rng = np.random.default_rng(seed)
-    draws = arr[rng.integers(0, n, size=(resamples, n))]
+    # allocated first, so that an impossible count fails before any work
+    pivots = np.empty(resamples)
+    shift = _lattice_shift(arr)
+    rows = max(1, _CHUNK_BYTES // (8 * n))
     # a resample whose sum overflows gets a nan pivot, by design
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = draws.sum(axis=1)
-        draws.sort(axis=1)
-        pivots = _ratio(sums - n * xbar, _den_rows(draws, sums, kind, lam))
+        for lo in range(0, resamples, rows):
+            # chunked draws concatenate to the stream of one (B, n) draw
+            draws = arr[rng.integers(0, n, size=(min(rows, resamples - lo),
+                                                 n))]
+            sums = draws.sum(axis=1)
+            draws.sort(axis=1)
+            pivots[lo:lo + len(draws)] = _ratio(
+                sums - n * xbar, _den_rows(draws, sums, shift, kind, lam))
     alpha = 1.0 - level
     q_lo, q_hi = _quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
     ci = ((arr.sum() - q_hi * den0) / n, (arr.sum() - q_lo * den0) / n)

@@ -335,6 +335,21 @@ def test_memory_error_is_one_line(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "missing.json"],
+    ["disintegrate", "--input", "mu.json",
+     "--output", "no-such-dir/out.json"],
+], ids=["missing-input", "output-dir-missing"])
+def test_os_error_is_one_line(tmp_path, capsys, argv):
+    write_json(tmp_path / "mu.json", EXAMPLE)
+    argv = [str(tmp_path / word) if word.endswith(".json") else word
+            for word in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestOutputFile:
     def test_writes_file(self, tmp_path, capsys):
         src = write_json(tmp_path / "mu.json", EXAMPLE)

@@ -1,6 +1,7 @@
 """Empirical pairing and the pivot bootstrap."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint import (ZeroMeanMeasure, bootstrap_ci, denominator,
-                      empirical_partners, pivot)
+from twopoint import (PivotRun, ZeroMeanMeasure, bootstrap_ci, denominator,
+                      empirical_partners, estimator, pivot)
 from twopoint.errors import (BadLambda, BadLevel, ConstantSample,
                              EmptySample, InputError, TooFewResamples)
 
@@ -186,3 +187,110 @@ class TestBootstrap:
         # levels must not index past the end of the row
         run = bootstrap_ci([1.5e308, -1.5e308, 1.0], resamples=100, seed=1)
         assert run.n == 3
+
+
+@pytest.mark.parametrize("high, width, resamples, rows", [
+    (2000, 2000, 9, 1),
+    (5, 5, 103, 4),
+    # a bound past the int32 range; rows that wide would not fit in
+    # memory, so they are narrower than the bound here
+    (2 ** 31 + 5, 3, 7, 2),
+], ids=["one-row", "partial-last-chunk", "wide-bound"])
+def test_chunked_draws_continue_one_stream(high, width, resamples, rows):
+    """The premise of the chunked bootstrap: drawing the resample indices
+    a few rows at a time gives the rows of one ``(B, n)`` draw."""
+    whole = np.random.default_rng(8).integers(0, high,
+                                              size=(resamples, width))
+    rng = np.random.default_rng(8)
+    parts = [rng.integers(0, high, size=(min(rows, resamples - lo), width))
+             for lo in range(0, resamples, rows)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def one_shot_bootstrap_ci(xs, *, resamples, kind, lam, seed,
+                          level=0.95):
+    """Reference: every resample drawn, sorted and paired at once, with
+    the lattice scaled by the largest drawn magnitude.  Returns the run
+    and its pivots."""
+    arr = np.asarray(xs, dtype=float)
+    n = arr.size
+    xbar = float(arr.mean())
+    den0 = denominator(arr, kind, lam)
+    rng = np.random.default_rng(seed)
+    draws = arr[rng.integers(0, n, size=(resamples, n))]
+    _, e = math.frexp(float(np.abs(draws).max(initial=0.0)))
+    shift = min(0, 1021 - e - 2 * n.bit_length())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = draws.sum(axis=1)
+        draws.sort(axis=1)
+        pivots = estimator._ratio(
+            sums - n * xbar,
+            estimator._den_rows(draws, sums, shift, kind, lam))
+    alpha = 1.0 - level
+    q_lo, q_hi = estimator._quantiles(pivots,
+                                      [alpha / 2.0, 1.0 - alpha / 2.0])
+    ci = ((arr.sum() - q_hi * den0) / n, (arr.sum() - q_lo * den0) / n)
+    run = PivotRun(kind, lam, level, n, resamples, seed, xbar, den0,
+                   (float(q_lo), float(q_hi)),
+                   (float(ci[0]), float(ci[1])))
+    return run, pivots
+
+
+T3 = np.random.default_rng(12).standard_t(3, 20000)
+OVERFLOW = [1.5e308, -1.5e308, 1.0]
+# the huge pair scales the lattice down for every row; a row that drew
+# neither would pair its subnormal values differently at scale 1
+SUBNORMAL = ([1e307, -1e307, 1e-100, -1e-100, 0.0]
+             + [k * 5e-324 for k in (-7, -3, 1, 2, 7)])
+
+
+@pytest.mark.parametrize("xs, kind, resamples, chunk_bytes", [
+    (T3[:300], "W", 250, None),
+    (T3[:300], "Y_lambda", 250, None),
+    (T3, "W", 100, None),
+    (OVERFLOW, "W", 100, None),
+    (OVERFLOW, "Y_lambda", 100, 8 * 3 * 7),
+    (SUBNORMAL, "W", 100, 1),
+], ids=["W-partial-last-chunk", "Y-partial-last-chunk", "row-per-chunk",
+        "overflow-one-chunk", "overflow-chunks-of-7", "subnormal-rows"])
+def test_chunked_bootstrap_matches_one_shot(monkeypatch, xs, kind,
+                                            resamples, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", chunk_bytes)
+    rows = max(1, estimator._CHUNK_BYTES // (8 * len(xs)))
+    seen = []
+    quantiles = estimator._quantiles
+
+    def spy(values, probs):
+        seen.append(values.copy())
+        return quantiles(values, probs)
+
+    monkeypatch.setattr(estimator, "_quantiles", spy)
+    got = bootstrap_ci(xs, resamples=resamples, kind=kind, lam=1.3, seed=6)
+    want, pivots = one_shot_bootstrap_ci(xs, resamples=resamples,
+                                         kind=kind, lam=1.3, seed=6)
+    # repr tells nan, -0.0 and every last bit apart
+    assert repr(got) == repr(want)
+    np.testing.assert_array_equal(seen[0], pivots)
+    if xs is OVERFLOW:
+        assert np.isnan(pivots).any()
+    if rows < resamples:
+        # several chunks, the last one partial (or one row each)
+        assert rows == 1 or resamples % rows
+
+
+def test_memory_flat_in_resamples(rng):
+    """Peak traced allocation at 16 times the resamples stays within 10%
+    of the peak at 100: the chunks, not the resample count, set it."""
+    xs = rng.standard_t(3, 1000)
+
+    def peak(resamples):
+        tracemalloc.start()
+        try:
+            bootstrap_ci(xs, resamples=resamples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-call allocations outside the bootstrap
+    assert peak(1600) <= 1.1 * peak(100)
