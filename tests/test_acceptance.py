@@ -21,7 +21,7 @@ from twopoint import (BERNOULLI_CONSTANT, GAUSSIAN_CONSTANT, MIXTURE_MODES,
                       neg_abs_diff_pow, normal_tail, power_family, ratio_pow,
                       ratio_moments, component_ratio_moment, sample_pairs,
                       side_masses_from_levels, uniformity_check,
-                      validate_curve, validate_x_pm)
+                      two_slope_family, validate_curve, validate_x_pm)
 
 INF = math.inf
 
@@ -266,6 +266,19 @@ def test_c09_modeling_invariants_thirty_settings():
                 r0 = curve(x)
                 assert abs(rebuilt(x) - r0) <= 1e-8 * (1.0 + abs(r0)), \
                     (curve.label, x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: power_family(2.0, 1.0), lambda: two_slope_family(2.0),
+    lambda: hyperbolic_family(0.5, 1.3), lambda: cubic_rate_family(0.5, 0.9)],
+    ids=["power", "two_slope", "hyperbolic", "cubic_rate"])
+def test_curve_partners_of_a_million_samples(make):
+    xs = np.random.default_rng(12).standard_t(3, 10**6)
+    curve = make()
+    with Budget(10.0):
+        rs = curve(xs)
+    assert rs.shape == xs.shape
+    assert (np.sign(rs) == -np.sign(xs)).all()
 
 
 def test_c10_canonical_extremality():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -169,6 +170,22 @@ class TestModel:
         x, r = lines[1].split(",")
         assert float(x) == -2.0
         assert float(r) == 2.0
+
+    @pytest.mark.parametrize("argv, slope", [
+        (["--family", "hyperbolic", "--alpha", "0.5", "--table",
+          "1e200:1e201:2"], -1 / 3),
+        (["--family", "cubic_rate", "--alpha", "0.5",
+          "--table=-1e300:1e300:7"], -1.0),
+    ], ids=["hyperbolic", "cubic_rate"])
+    def test_table_far_out(self, capsys, argv, slope):
+        # far out r(x) ~ -x (1 - alpha) / (1 + alpha), resp. -x + O(1)
+        code, out, err = run(capsys, ["model", *argv])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "x,r"
+        for line in lines[1:]:
+            x, r = map(float, line.split(","))  # plain repr floats
+            assert r == pytest.approx(slope * x, rel=1e-12)
 
     def test_validate_json(self, capsys):
         code, out, _ = run(capsys, ["model", "--family", "two_slope",
