@@ -92,10 +92,7 @@ def _load_json(path: str):
 
 def load_measure(path: str) -> ZeroMeanMeasure:
     """Measure from JSON, decimals parsed exactly."""
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "atoms" in obj and "backend" not in obj:
-        obj = {"backend": "discrete", **obj}
-    return ZeroMeanMeasure.from_jsonable(obj)
+    return ZeroMeanMeasure.from_jsonable(_load_json(path))
 
 
 def load_samples(path: str) -> np.ndarray:

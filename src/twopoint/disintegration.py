@@ -19,13 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NotDiscrete,
-    SameSign,
-    Unbounded,
-)
+from .errors import DimensionMismatch, InputError, NotDiscrete, SameSign
 from .measure import ZeroMeanMeasure, _query_number, _shown
 
 __all__ = [
@@ -134,9 +128,10 @@ def _ordered_pieces(measure: ZeroMeanMeasure):
     """``(x, partner, weight)`` for the atom at zero and for every level
     piece and side that still carries mass there: a piece of width ``dh``
     holds the part ``dh / |x|`` of the atom ``x``."""
+    table = measure._level_table()  # NotDiscrete before any quadrature
     if measure.prob_zero:
         yield measure._zero, 0, measure.prob_zero
-    for dh, _, a, b, a_live, b_live in zip(*measure._level_table()):
+    for dh, _, a, b, a_live, b_live in zip(*table):
         if a_live:
             yield a, b, dh / -a
         if b_live:
@@ -151,8 +146,6 @@ def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
     merged; the atom at zero is the degenerate component.  Components are
     returned sorted by endpoints.
     """
-    if measure.backend != "discrete":
-        raise NotDiscrete("decompose requires a discrete measure")
     weights: dict = {}
     for x, partner, w in _ordered_pieces(measure):
         key = (x, partner) if x <= partner else (partner, x)
@@ -200,25 +193,6 @@ MIXTURE_MODES = ("direct", "u_integral", "h_integral", "ratio_weighted",
                  "half_sum")
 
 
-def _level_integral(measure: ZeroMeanMeasure, f: Callable):
-    """``f(x_minus(h), x_plus(h))`` integrated over the levels ``h`` in
-    ``(0, m)`` where both sides carry mass: an exact sum over the level
-    table of a discrete measure, one quadrature on an analytic one."""
-    if measure.backend == "discrete":
-        return sum(dh * f(a, b) for dh, _, a, b, a_live, b_live
-                   in zip(*measure._level_table()) if a_live and b_live)
-    # imported here so that importing twopoint loads no scipy
-    from scipy import integrate
-
-    def integrand(h):
-        val = f(float(measure.x_minus(h)), float(measure.x_plus(h)))
-        if not math.isfinite(val):
-            raise Unbounded(f"integrand not finite at level {h!r}")
-        return val
-
-    return integrate.quad(integrand, 0.0, float(measure.m), limit=200)[0]
-
-
 def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     """``E g(X)`` computed along one of five equivalent routes.
 
@@ -240,17 +214,13 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
 
     All five agree exactly on exact discrete measures.  On an analytic
     measure every mode is the ``h_integral`` quadrature, with the mass at
-    zero read off the mass integral of ``1 / x_plus - 1 / x_minus``.
+    zero its :attr:`~ZeroMeanMeasure.prob_zero`.
     """
     if mode not in MIXTURE_MODES:
         raise InputError(f"unknown mode {mode!r}; pick one of {MIXTURE_MODES}")
     if measure.backend != "discrete" or mode == "h_integral":
-        if measure.backend == "discrete":
-            p0 = measure.prob_zero
-        else:
-            p0 = max(0.0, 1.0 - _level_integral(
-                measure, lambda a, b: 1 / b - 1 / a))
-        body = _level_integral(measure, lambda a, b: g(b) / b - g(a) / a)
+        p0 = measure.prob_zero
+        body = measure.level_integral(lambda a, b: g(b) / b - g(a) / a)
         return p0 * g(0) + body if p0 else body
 
     if mode == "direct":
@@ -274,8 +244,8 @@ def side_masses_from_levels(measure: ZeroMeanMeasure):
     """``(P(X > 0), P(X < 0))`` recovered from the level representation:
     the integrals over ``(0, m)`` of ``1 / x_plus`` and ``-1 / x_minus``.
     Exact for discrete measures, quadrature otherwise."""
-    return (_level_integral(measure, lambda a, b: 1 / b),
-            _level_integral(measure, lambda a, b: -1 / a))
+    return (measure.level_integral(lambda a, b: 1 / b),
+            measure.level_integral(lambda a, b: -1 / a))
 
 
 # --- ratio moments --------------------------------------------------------
@@ -331,8 +301,6 @@ def tilt(measure: ZeroMeanMeasure, which: str = "Y") -> TiltedAtoms:
     (``Y_minus``); weights are normalized to sum to one exactly."""
     if which not in TILT_KINDS:
         raise InputError(f"unknown tilt {which!r}; pick one of {TILT_KINDS}")
-    if measure.backend != "discrete":
-        raise NotDiscrete("tilt requires a discrete measure")
     if which == "Y":
         pairs = [(l, abs(l) * p) for l, p in measure.atoms if l != 0]
     elif which == "Y_plus":
@@ -379,8 +347,6 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
     if which not in UNIFORMITY_KINDS:
         raise InputError(f"unknown check {which!r}; "
                          f"pick one of {UNIFORMITY_KINDS}")
-    if measure.backend != "discrete":
-        raise NotDiscrete("uniformity_check requires a discrete measure")
     n = int(n)
     us = rng.random(n)
     if which == "G_tilde_Y":

@@ -56,6 +56,7 @@ from .errors import (
     NegativeH,
     NonZeroMean,
     NotDiscrete,
+    Unbounded,
 )
 
 __all__ = ["ZeroMeanMeasure", "INF", "NEG_INF"]
@@ -191,10 +192,8 @@ class ZeroMeanMeasure:
         self._backend = _backend
         if _backend == "discrete":
             self._init_discrete(**fields)
-        elif _backend == "analytic":
+        else:
             self._init_analytic(**fields)
-        else:  # pragma: no cover - internal misuse
-            raise InputError(f"unknown backend {_backend!r}")
 
     # -- construction ------------------------------------------------------
 
@@ -381,9 +380,11 @@ class ZeroMeanMeasure:
 
     @property
     def prob_zero(self):
+        """``P(X = 0)``; on an analytic measure ``1`` less the level
+        integral of ``1 / x_plus - 1 / x_minus``, clamped at zero."""
         if self._backend == "analytic":
-            raise NotDiscrete("mass at zero is not stored for analytic "
-                              "measures; integrate 1/x_plus and 1/x_minus")
+            return max(0.0, 1.0 - self.level_integral(
+                lambda a, b: 1 / b - 1 / a))
         return self._p0
 
     @property
@@ -398,9 +399,10 @@ class ZeroMeanMeasure:
 
     def mass_at(self, x):
         """Point mass at ``x`` (zero for analytic backends off zero)."""
+        x = _query_number(x)
         if self._backend == "analytic":
-            return 0.0
-        return self._mass_map.get(_query_number(x), self._zero)
+            return self.prob_zero if x == 0 else 0.0
+        return self._mass_map.get(x, self._zero)
 
     def _require_discrete(self, what: str):
         if self._backend != "discrete":
@@ -561,6 +563,7 @@ class ZeroMeanMeasure:
     def _level_table(self) -> LevelTable:
         """The :class:`LevelTable` of a discrete measure, built once from
         the cumulative levels of both sides."""
+        self._require_discrete("the level table")
         if self._table is None:
             pos, neg = self._pos_cum, self._neg_cum
             levels = sorted({*pos[1:], *neg[1:]})
@@ -604,6 +607,24 @@ class ZeroMeanMeasure:
         return [(u_lo, u_hi, r) for u_lo, u_hi, r
                 in zip(cuts, cuts[1:], partners[first:last + 1])
                 if u_hi > u_lo]
+
+    def level_integral(self, f: Callable):
+        """``f(x_minus(h), x_plus(h))`` integrated over the levels ``h`` in
+        ``(0, m)`` where both sides carry mass: an exact sum over the level
+        table of a discrete measure, one quadrature on an analytic one."""
+        if self._backend == "discrete":
+            return sum(dh * f(a, b) for dh, _, a, b, a_live, b_live
+                       in zip(*self._level_table()) if a_live and b_live)
+        # imported here so that importing twopoint loads no scipy
+        from scipy import integrate
+
+        def integrand(h):
+            val = f(float(self.x_minus(h)), float(self.x_plus(h)))
+            if not math.isfinite(val):
+                raise Unbounded(f"integrand not finite at level {h!r}")
+            return val
+
+        return integrate.quad(integrand, 0.0, float(self._m), limit=200)[0]
 
     # -- exact level identities -------------------------------------------
 
@@ -706,10 +727,11 @@ class ZeroMeanMeasure:
 
         Entries may be numbers or rational strings such as ``"3/10"``;
         ``"inf"``/``"-inf"`` do not parse as rationals and stay
-        output-only."""
-        if not isinstance(obj, dict) or obj.get("backend") != "discrete":
-            raise InputError("measure object must be a dict with "
-                             "backend == 'discrete'")
+        output-only.  The ``backend`` key may be left out."""
+        if (not isinstance(obj, dict)
+                or obj.get("backend", "discrete") != "discrete"):
+            raise InputError("measure object must be a dict whose "
+                             "backend, if given, is 'discrete'")
         atoms = obj.get("atoms")
         if not isinstance(atoms, list):
             raise InputError("measure object must carry an 'atoms' list")

@@ -109,6 +109,16 @@ class AsymmetryPattern:
 
 # --- closed families ------------------------------------------------------
 
+def _powm1(y, p):
+    """``(1 + y)^p - 1`` to a few ulps relative.  With ``z = p log1p(y)``
+    it is ``expm1(z)`` where ``|z| < 1``, where the power would cancel,
+    and the power itself elsewhere: there ``e^z / |e^z - 1| < 1.6``, so
+    the power loses under a bit to cancellation, keeps exact powers exact
+    and does not amplify the rounding of ``z``."""
+    z = p * np.log1p(y)
+    return np.where(np.abs(z) < 1.0, np.expm1(z), np.power(1.0 + y, p) - 1.0)
+
+
 def power_family(p, c) -> ReciprocatingCurve:
     """Power-shape curve with exponent ``p`` and scale ``c > 0``.
 
@@ -116,7 +126,11 @@ def power_family(p, c) -> ReciprocatingCurve:
     ``(c/p) (1 - (1 + x/c)^p)`` and the negative side
     ``c ((1 - p x / c)^(1/p) - 1)`` (infinite once ``p x >= c``).
     ``p = 0`` is the log/exp member.  Passing ``p = +-inf`` selects the
-    exponential limit members, in which case ``c`` is their rate.
+    exponential limit members, in which case ``c`` is their rate.  Each
+    ``e^z - 1`` is evaluated by ``expm1`` and each ``(1 + y)^p - 1`` by
+    :func:`_powm1`, so partners keep their relative precision near zero;
+    ``1 - e^z`` is ``0.0 - expm1(z)``, the signed zero of ``1 - 1`` at
+    ``x = 0``.
     """
     c = float(c)
     if not (c > 0 and math.isfinite(c)):
@@ -127,28 +141,27 @@ def power_family(p, c) -> ReciprocatingCurve:
 
     if p == INF:
         def core(x):
-            return np.where(x >= 0, c * (1.0 - np.exp(x / c)),
+            return np.where(x >= 0, c * (0.0 - np.expm1(x / c)),
                             c * np.log1p(-x / c))
 
         return ReciprocatingCurve(NEG_INF, INF, core, f"power(p=inf, c={c})")
     if p == NEG_INF:
         def core(x):
-            return np.where(x >= 0, -c * (1.0 - np.exp(-x / c)),
+            return np.where(x >= 0, -c * (0.0 - np.expm1(-x / c)),
                             -c * np.log1p(x / c))
 
         return ReciprocatingCurve(-c, INF, core, f"power(p=-inf, c={c})")
     if p == 0:
         def core(x):
             return np.where(x >= 0, -c * np.log1p(x / c),
-                            c * (np.exp(-x / c) - 1.0))
+                            c * np.expm1(-x / c))
 
         return ReciprocatingCurve(NEG_INF, INF, core, f"power(p=0, c={c})")
 
     def core(x):
-        base = 1.0 - p * x / c
-        return np.where(x >= 0, (c / p) * (1.0 - np.power(1.0 + x / c, p)),
-                        np.where(base <= 0.0, INF,
-                                 c * (np.power(base, 1.0 / p) - 1.0)))
+        t = -p * x / c  # the negative side's pole is at t = -1
+        return np.where(x >= 0, (c / p) * (0.0 - _powm1(x / c, p)),
+                        np.where(t <= -1.0, INF, c * _powm1(t, 1.0 / p)))
 
     return ReciprocatingCurve(NEG_INF if p > 0 else c / p, INF, core,
                               f"power(p={p}, c={c})")

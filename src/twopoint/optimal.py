@@ -24,8 +24,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .disintegration import (MixtureDecomposition, _level_integral, tilt,
-                             two_point)
+from .disintegration import MixtureDecomposition, tilt, two_point
 from .errors import (BadP, InputError, NotADisintegration, NotSuperadditive,
                      UnsupportedMarginals)
 from .measure import ZeroMeanMeasure, _approx, _as_number, _shown
@@ -74,6 +73,12 @@ class CostFunction:
 
     def __call__(self, pos, neg_mag):
         return self.fn(pos, neg_mag)
+
+
+def _sign(canonical_is: str) -> int:
+    """``+1`` for ``"max"`` and ``-1`` for ``"min"``: the canonical value
+    ``c`` beats another value ``o`` when ``sign * (c - o) >= 0``."""
+    return 1 if canonical_is == "max" else -1
 
 
 def indicator_ge(a, b) -> CostFunction:
@@ -141,11 +146,10 @@ def custom_cost(fn: Callable, canonical_is: str) -> CostFunction:
         raise InputError(f"canonical_is must be max or min, "
                          f"got {canonical_is!r}")
     grid = (0.25, 0.5, 1.0, 2.0, 4.0)
+    sign = _sign(canonical_is)
     for (u1, u2), (v1, v2) in itertools.product(
             itertools.combinations(grid, 2), repeat=2):
-        gap = fn(u2, v2) + fn(u1, v1) - fn(u1, v2) - fn(u2, v1)
-        if canonical_is == "min":
-            gap = -gap
+        gap = sign * (fn(u2, v2) + fn(u1, v1) - fn(u1, v2) - fn(u2, v1))
         if gap < -1e-12:
             raise NotSuperadditive(
                 f"lattice inequality fails on the rectangle "
@@ -281,7 +285,7 @@ def canonical_cost(measure: ZeroMeanMeasure, cost: CostFunction):
     tilt, ``(1 / m)`` times the level integral of ``cost(x_plus,
     -x_minus)``: exact piecewise sums for discrete measures, quadrature
     for analytic ones."""
-    return _level_integral(measure, lambda a, b: cost(b, -a)) / measure.m
+    return measure.level_integral(lambda a, b: cost(b, -a)) / measure.m
 
 
 @dataclass(frozen=True)
@@ -318,17 +322,15 @@ def cost_compare(measure: ZeroMeanMeasure, cost: CostFunction,
                   for nu, (w, law) in zip(weights, alt)
                   if not law.is_degenerate)
     can_val = canonical_cost(measure, cost)
+    sign = _sign(cost.canonical_is)
     if isinstance(can_val, numbers.Rational) and isinstance(
             alt_val, numbers.Rational):
         # exact values can lie past the float range; no rounding to absorb
-        gap = can_val - alt_val
-        ok = gap >= 0 if cost.canonical_is == "max" else gap <= 0
+        ok = sign * (can_val - alt_val) >= 0
     else:
+        # compared side by side, so that equal infinite costs agree
         scale = _TOL * (1.0 + abs(float(can_val)) + abs(float(alt_val)))
-        if cost.canonical_is == "max":
-            ok = float(can_val) >= float(alt_val) - scale
-        else:
-            ok = float(can_val) <= float(alt_val) + scale
+        ok = sign * float(can_val) >= sign * float(alt_val) - scale
     return CostComparison(cost.label, cost.canonical_is, can_val,
                           alt_val, ok)
 
@@ -385,16 +387,12 @@ def comonotone_extremality(pos_values: Sequence, neg_values: Sequence,
             f"{len(us)} points would need {math.factorial(len(us))} "
             f"pairings; reduce to at most {_MAX_MARGINAL}")
     n = len(us)
+    sign = _sign(cost.canonical_is)
     como = sum(cost(u, v) for u, v in zip(us, vs)) / n
     best = como
     for perm in itertools.permutations(vs):
         val = sum(cost(u, v) for u, v in zip(us, perm)) / n
-        if cost.canonical_is == "max":
-            best = max(best, val)
-        else:
-            best = min(best, val)
-    if cost.canonical_is == "max":
-        ok = como >= best - 1e-12 * (1.0 + abs(best))
-    else:
-        ok = como <= best + 1e-12 * (1.0 + abs(best))
+        if sign * val > sign * best:
+            best = val
+    ok = sign * como >= sign * best - 1e-12 * (1.0 + abs(best))
     return ComonotoneReport(ok, como, best, math.factorial(n))

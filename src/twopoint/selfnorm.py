@@ -28,7 +28,6 @@ from .errors import (
     InputError,
     LambdaTooSmall,
     LengthMismatch,
-    NotDiscrete,
     NotLogConcave,
     TooLarge,
 )
@@ -384,8 +383,6 @@ class AsymmetryCertificate:
 
 def asymmetry_certificate(measure: ZeroMeanMeasure) -> AsymmetryCertificate:
     """Certify the positive-side ratio bound of a discrete measure."""
-    if measure.backend != "discrete":
-        raise NotDiscrete("asymmetry certificates need a discrete measure")
     gamma = max(law.b / -law.a for _w, law in decompose(measure)
                 if not law.is_degenerate)
     return AsymmetryCertificate(gamma, 1 / (1 + gamma))

@@ -89,6 +89,20 @@ class TestVerify:
         assert err.startswith("error: InputError: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("backend, code", [("discrete", 0),
+                                               ("analytic", 1)])
+    def test_backend_key(self, tmp_path, capsys, backend, code):
+        src = write_json(tmp_path / "mu.json",
+                         {"backend": backend, **EXAMPLE})
+        got, out, err = run(capsys, ["verify", "--input", src])
+        assert got == code
+        if code:
+            assert out == ""
+            assert err.startswith("error: InputError: ")
+            assert len(err.splitlines()) == 1
+        else:
+            assert json.loads(out)["passed"]
+
 
 class TestTest:
     def test_symmetric_reduction_classic_statistic(self, tmp_path, capsys):

@@ -185,6 +185,45 @@ def test_end_members_near_the_pole_match_mpmath(alpha, gap):
     assert abs(got - float(want)) <= 1e-14 * abs(float(want))
 
 
+def _power_mpmath(p, c, x):
+    """The power member at ``x`` from its defining closed forms, with
+    enough digits that ``1 + x/c`` keeps ``x = 1e-300``."""
+    with mpmath.workdps(340):
+        x, c = mpmath.mpf(x), mpmath.mpf(c)
+        if p == INF:
+            return c * (1 - mpmath.exp(x / c)) if x >= 0 \
+                else c * mpmath.log(1 - x / c)
+        if p == -INF:
+            return -c * (1 - mpmath.exp(-x / c)) if x >= 0 \
+                else -c * mpmath.log(1 + x / c)
+        if p == 0:
+            return -c * mpmath.log(1 + x / c) if x >= 0 \
+                else c * (mpmath.exp(-x / c) - 1)
+        p = mpmath.mpf(p)
+        if x >= 0:
+            return (c / p) * (1 - (1 + x / c) ** p)
+        return c * ((1 - p * x / c) ** (1 / p) - 1)
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s["family"] == "power"],
+                         ids=lambda s: f"p={s['p']},c={s['c']}")
+def test_power_members_match_mpmath_from_tiny_to_large(spec):
+    # Bound: 4 ulps of 1 times (1 + |x|/c), the condition number of the
+    # exponential in x/c; near zero it is a relative bound of about 1e-15.
+    # A partner past the float range must come out as an infinity.
+    p, c = spec["p"], spec["c"]
+    curve = power_family(p, c)
+    xs = np.array([s * 10.0 ** k for k in range(-300, 4) for s in (1.0, -1.0)])
+    xs = xs[(xs > curve.a_minus) & (xs < curve.a_plus)]
+    for x, got in zip(xs, curve(xs)):
+        want = _power_mpmath(p, c, x)
+        if abs(want) > np.finfo(float).max:
+            assert got == math.copysign(INF, want), (x, got)
+            continue
+        bound = 4 * np.finfo(float).eps * (1 + abs(x) / c)
+        assert abs(got - want) <= bound * abs(want), (x, got, float(want))
+
+
 @pytest.mark.parametrize("x", [1e16, 1e100, 1e300])
 def test_hyperbolic_end_members_stay_in_range(x):
     c = 1.3

@@ -72,6 +72,16 @@ class TestDecompose:
         with pytest.raises(NotDiscrete):
             decompose(mu)
 
+    def test_tilt_and_uniformity_not_discrete(self, rng):
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
+                                      (-1.0, 1.0))
+        for which in ("Y", "Y_plus", "Y_minus"):
+            with pytest.raises(NotDiscrete):
+                tilt(mu, which)
+        for which in ("G_tilde_Y", "F_tilde_X"):
+            with pytest.raises(NotDiscrete):
+                uniformity_check(mu, which, 10, rng=rng)
+
     def test_sampling_not_discrete(self, rng):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,
                                       (-1.0, 1.0))

@@ -212,6 +212,15 @@ class TestDistribution:
             ZeroMeanMeasure.from_jsonable(
                 {"backend": "discrete", "atoms": [["inf", 0.5], [1, 0.5]]})
 
+    def test_json_backend_is_optional(self, four_atom):
+        back = ZeroMeanMeasure.from_jsonable(
+            {"atoms": four_atom.to_jsonable()["atoms"]})
+        assert back.atoms == four_atom.atoms
+        assert back.is_exact
+        with pytest.raises(InputError, match="backend"):
+            ZeroMeanMeasure.from_jsonable(
+                {"backend": "analytic", "atoms": [[-1, 0.5], [1, 0.5]]})
+
 
 class TestAnalytic:
     def test_uniform_inverses(self):
@@ -252,3 +261,8 @@ class TestAnalytic:
         assert repr(mu) == "ZeroMeanMeasure(analytic, m=0.25)"
         with pytest.raises(NotDiscrete):
             mu.cdf(0.5)
+
+    def test_uniform_has_no_mass_at_zero(self):
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4, 0.25, (-1, 1))
+        assert 0.0 <= mu.prob_zero < 1e-9
+        assert 0.0 <= mu.mass_at(0) < 1e-9

@@ -212,6 +212,14 @@ class TestInverseCharacterization:
         assert float(mu.m) == pytest.approx(1.0, abs=1e-9)
         assert float(mu.x_minus(0.5)) == pytest.approx(-3.0, abs=1e-9)
 
+    def test_measure_has_its_mass_at_zero(self):
+        # the mass integral of 1/x_plus - 1/x_minus is 1/6 + 1/3
+        rep = validate_x_pm(lambda h: 3.0 / (1.0 - h), lambda h: -3.0, 1.0)
+        mu = rep.measure
+        assert mu.prob_zero == pytest.approx(0.5, abs=1e-9)
+        assert mu.mass_at(0) == pytest.approx(0.5, abs=1e-9)
+        assert mu.mass_at(3.0) == 0.0
+
     @pytest.mark.parametrize("yp,ym,msg", [
         (lambda h: -1.0, lambda h: -3.0, "positive"),
         (lambda h: 3.0, lambda h: 2.0, "negative"),
