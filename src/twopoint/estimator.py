@@ -16,13 +16,13 @@ memory stays flat in the number of resamples, and a chunk's arrays stay
 small enough for the cache.  Within a chunk each side's cumulative
 levels are summed once per row.  Levels live on the lattice
 ``n x - sum(x)``, ``n`` times the recentred values, so on integer data a
-level that meets a cumulative level compares exactly.  Each row then
-looks up its partners with one ``searchsorted`` per side.
+level that meets a cumulative level compares exactly.  Each row, on a
+lattice scaled by its own values alone, looks up its partners with one
+``searchsorted`` per side.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,31 +75,23 @@ def _covering(cum: np.ndarray, w: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.minimum(idx, h.shape[1] - 1)
 
 
-def _lattice_shift(arr: np.ndarray) -> int:
-    """Exponent of the power of two that scales the lattice of ``arr``
-    and of every resample of it.
-
-    The lattice ``n D - sum(x) = n S`` is exact on integer data while its
-    cumulative sums stay below 2^53; an exact power of two scales it
-    where they could pass the float range, moving no comparison unless
-    it rounds subnormal values.  The whole sample fixes it, so a row's
-    partners do not depend on the rows it is computed with."""
-    _, e = math.frexp(float(np.abs(arr).max()))
-    return min(0, 1021 - e - 2 * arr.size.bit_length())
-
-
-def _sorted_partners(D: np.ndarray, total: np.ndarray, shift: int) -> tuple:
+def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
     """Recentred values and partners of row-sorted raw samples ``D``
-    with row sums ``total``, on the lattice scaled by ``2**shift``.
+    with row sums ``total``.
 
     Each entry's level is the midpoint of its own slice of the
     cumulative lattice weight on its side, and the partner is the
     opposite-side value whose slice covers that level.  Ties resolve
     themselves: equal values produce evenly spread levels whatever
-    their order."""
+    their order.  Where a row's cumulative lattice sums could pass the
+    float range, a power of two set by the row's own largest magnitude
+    scales them down, which moves no comparison unless it rounds
+    subnormal values."""
     n = D.shape[1]
+    _, e = np.frexp(np.maximum(-D[:, 0], D[:, -1]))
+    scale = np.minimum(0, 1021 - e - 2 * n.bit_length())[:, None]
     S = D - (total / n)[:, None]
-    L = math.ldexp(n, shift) * D - np.ldexp(total, shift)[:, None]
+    L = np.ldexp(float(n), scale) * D - np.ldexp(total[:, None], scale)
     pos = np.maximum(L, 0.0)
     neg = np.maximum(-L, 0.0)[:, ::-1]  # outwards from zero
     up, down = np.cumsum(pos, axis=1), np.cumsum(neg, axis=1)
@@ -108,9 +100,9 @@ def _sorted_partners(D: np.ndarray, total: np.ndarray, shift: int) -> tuple:
     return S, np.where(L > 0, from_neg, np.where(L < 0, from_pos, 0.0))
 
 
-def _den_rows(D: np.ndarray, total: np.ndarray, shift: int, kind: str,
+def _den_rows(D: np.ndarray, total: np.ndarray, kind: str,
               lam: float) -> np.ndarray:
-    S, R = _sorted_partners(D, total, shift)
+    S, R = _sorted_partners(D, total)
     return _studentizer(S, R, None if kind == "W" else lam)
 
 
@@ -139,8 +131,7 @@ def empirical_partners(xs) -> EmpiricalPartners:
     arr = _as_rows(xs)
     total = np.array([arr.sum()])
     order = np.argsort(arr, kind="stable")
-    _, R = _sorted_partners(arr[order][None, :], total,
-                            _lattice_shift(arr))
+    _, R = _sorted_partners(arr[order][None, :], total)
     partners = np.empty_like(arr)
     partners[order] = R[0]
     return EmpiricalPartners(arr - total[0] / arr.size, partners)
@@ -156,7 +147,7 @@ def denominator(xs, kind: str = "W", lam: float = 1.0) -> float:
         raise ConstantSample("constant sample has no spread to "
                              "normalize by")
     return float(_den_rows(np.sort(arr)[None, :], np.array([arr.sum()]),
-                           _lattice_shift(arr), kind, lam)[0])
+                           kind, lam)[0])
 
 
 def pivot(xs, theta, kind: str = "W", lam: float = 1.0) -> float:
@@ -236,7 +227,6 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
         rng = np.random.default_rng(seed)
     # allocated first, so that an impossible count fails before any work
     pivots = np.empty(resamples)
-    shift = _lattice_shift(arr)
     rows = max(1, _CHUNK_BYTES // (8 * n))
     # a resample whose sum overflows gets a nan pivot, by design
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,7 +237,7 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
             sums = draws.sum(axis=1)
             draws.sort(axis=1)
             pivots[lo:lo + len(draws)] = _ratio(
-                sums - n * xbar, _den_rows(draws, sums, shift, kind, lam))
+                sums - n * xbar, _den_rows(draws, sums, kind, lam))
     alpha = 1.0 - level
     q_lo, q_hi = _quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
     ci = ((arr.sum() - q_hi * den0) / n, (arr.sum() - q_lo * den0) / n)

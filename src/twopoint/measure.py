@@ -42,6 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
 
@@ -317,7 +318,6 @@ class ZeroMeanMeasure:
         self._locs = list(locs)
         self._masses = list(masses)
         self._mass_map = dict(zip(self._locs, self._masses))
-        self._p0 = self._mass_map.get(0, self._zero)
 
         # the jumps |x| p of G in cumulative units, ints over D when exact
         jumps = [abs(l) * p for l, p in zip(self._locs, self._masses)]
@@ -378,14 +378,14 @@ class ZeroMeanMeasure:
             return (self._lo, self._hi)
         return (self._locs[0], self._locs[-1])
 
-    @property
+    @cached_property
     def prob_zero(self):
         """``P(X = 0)``; on an analytic measure ``1`` less the level
         integral of ``1 / x_plus - 1 / x_minus``, clamped at zero."""
         if self._backend == "analytic":
             return max(0.0, 1.0 - self.level_integral(
                 lambda a, b: 1 / b - 1 / a))
-        return self._p0
+        return self._mass_map.get(0, self._zero)
 
     @property
     def prob_positive(self):
@@ -580,14 +580,17 @@ class ZeroMeanMeasure:
         return self._table
 
     def u_segments(self, x):
-        """Partition of ``u`` in ``(0, 1]`` into maximal pieces on which
-        ``reciprocate(x, .)`` is constant.
+        """Partition of ``u`` in ``(0, 1]`` into the pieces of the level
+        table that the atom at ``x`` spans, each with its partner.
 
         Returns a list of ``(u_lo, u_hi, partner)`` triples with the
         convention that a piece covers ``u_lo < u <= u_hi``.  For points
         that carry no atom the list has a single piece.  An atom's pieces
         are its level range ``(g_tilde(x, 0), g_tilde(x, 1)]`` sliced out
-        of the level table.
+        of the level table.  Past the opposite side's total a piece keeps
+        that side's last atom, as ``sample_pairs`` and ``decompose`` do,
+        though ``reciprocate`` is infinite there; so neighbouring pieces
+        can share a partner.
         """
         x = _query_number(x)
         if self._backend == "analytic":

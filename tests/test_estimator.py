@@ -209,23 +209,20 @@ def test_chunked_draws_continue_one_stream(high, width, resamples, rows):
 
 def one_shot_bootstrap_ci(xs, *, resamples, kind, lam, seed,
                           level=0.95):
-    """Reference: every resample drawn, sorted and paired at once, with
-    the lattice scaled by the largest drawn magnitude.  Returns the run
-    and its pivots."""
+    """Reference: every resample drawn, sorted and paired at once.
+    Returns the run and its pivots."""
     arr = np.asarray(xs, dtype=float)
     n = arr.size
     xbar = float(arr.mean())
     den0 = denominator(arr, kind, lam)
     rng = np.random.default_rng(seed)
     draws = arr[rng.integers(0, n, size=(resamples, n))]
-    _, e = math.frexp(float(np.abs(draws).max(initial=0.0)))
-    shift = min(0, 1021 - e - 2 * n.bit_length())
     with np.errstate(over="ignore", invalid="ignore"):
         sums = draws.sum(axis=1)
         draws.sort(axis=1)
         pivots = estimator._ratio(
             sums - n * xbar,
-            estimator._den_rows(draws, sums, shift, kind, lam))
+            estimator._den_rows(draws, sums, kind, lam))
     alpha = 1.0 - level
     q_lo, q_hi = estimator._quantiles(pivots,
                                       [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -238,8 +235,8 @@ def one_shot_bootstrap_ci(xs, *, resamples, kind, lam, seed,
 
 T3 = np.random.default_rng(12).standard_t(3, 20000)
 OVERFLOW = [1.5e308, -1.5e308, 1.0]
-# the huge pair scales the lattice down for every row; a row that drew
-# neither would pair its subnormal values differently at scale 1
+# the huge pair scales down the lattice of a row that drew it; a row
+# that drew neither pairs its subnormal values at scale 1
 SUBNORMAL = ([1e307, -1e307, 1e-100, -1e-100, 0.0]
              + [k * 5e-324 for k in (-7, -3, 1, 2, 7)])
 
@@ -277,6 +274,29 @@ def test_chunked_bootstrap_matches_one_shot(monkeypatch, xs, kind,
     if rows < resamples:
         # several chunks, the last one partial (or one row each)
         assert rows == 1 or resamples % rows
+
+
+def test_resample_pivot_is_its_own_sample_pivot(monkeypatch):
+    """A resample is paired as ``denominator`` pairs it taken as a
+    sample, whatever else the sample holds: each bootstrap pivot is the
+    resample's own sum at the sample mean over its own denominator."""
+    arr = np.array(SUBNORMAL)
+    n, xbar = arr.size, float(arr.mean())
+    seen = []
+    quantiles = estimator._quantiles
+
+    def spy(values, probs):
+        seen.append(values.copy())
+        return quantiles(values, probs)
+
+    monkeypatch.setattr(estimator, "_quantiles", spy)
+    for seed in range(1, 21):
+        bootstrap_ci(SUBNORMAL, resamples=100, seed=seed)
+        draws = arr[np.random.default_rng(seed).integers(0, n, (100, n))]
+        # 0/0 reads as 0, as in every pivot
+        want = [estimator._ratio(row.sum() - n * xbar, denominator(row))
+                for row in draws]
+        np.testing.assert_array_equal(seen[-1], want)
 
 
 def test_memory_flat_in_resamples(rng):

@@ -266,3 +266,18 @@ class TestAnalytic:
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4, 0.25, (-1, 1))
         assert 0.0 <= mu.prob_zero < 1e-9
         assert 0.0 <= mu.mass_at(0) < 1e-9
+
+    def test_mass_at_zero_is_integrated_once(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * x / 4
+
+        mu = ZeroMeanMeasure.analytic(g, 0.25, (-1, 1))
+        first = mu.prob_zero
+        assert calls
+        calls.clear()
+        assert mu.prob_zero == first
+        assert mu.mass_at(0) == first
+        assert calls == []
