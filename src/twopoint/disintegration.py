@@ -8,13 +8,19 @@ the law on its two endpoints.  The same table drives exact
 evaluation of mixture expectations by several distinct routes, tilted
 (size-biased) companion laws, uniformity diagnostics, and a joint,
 coordinate-wise disintegration identity.
+
+The ordered pieces, with one two-point law per row of the table, and the
+decomposition are built once per measure, on first use, and kept beside
+it without keeping it alive; every later route and moment reads them.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoPointLaw:
     """Zero-mean law on two points ``a <= 0 <= b``.
 
@@ -81,11 +87,12 @@ def two_point(a, b) -> TwoPointLaw:
     b = _query_number(b)
     if a > b:
         a, b = b, a
-    if a * b > 0:
+    prod = a * b
+    if prod > 0:
         raise SameSign(f"endpoints {_shown(a)}, {_shown(b)} lie on the same "
                        "side of zero")
     exact = isinstance(a, Fraction) and isinstance(b, Fraction)
-    if a * b == 0:
+    if prod == 0:
         zero = Fraction(0) if exact else 0.0
         one = Fraction(1) if exact else 1.0
         return TwoPointLaw(zero, zero, one, zero)
@@ -124,18 +131,48 @@ class MixtureDecomposition:
                                for w, law in self.components]}
 
 
-def _ordered_pieces(measure: ZeroMeanMeasure):
-    """``(x, partner, weight)`` for the atom at zero and for every level
-    piece and side that still carries mass there: a piece of width ``dh``
-    holds the part ``dh / |x|`` of the atom ``x``."""
+#: per discrete measure, its rows and its decomposition, built on first
+#: use; weak keys, so that an entry keeps no measure alive
+_BUILT = weakref.WeakKeyDictionary()
+
+
+def _build(measure: ZeroMeanMeasure) -> tuple:
     table = measure._level_table()  # NotDiscrete before any quadrature
-    if measure.prob_zero:
-        yield measure._zero, 0, measure.prob_zero
-    for dh, _, a, b, a_live, b_live in zip(*table):
-        if a_live:
-            yield a, b, dh / -a
-        if b_live:
-            yield b, a, dh / b
+    p0 = measure.prob_zero
+    zero = measure._zero
+    rows = [(zero, 0, two_point(zero, 0), p0, None)] if p0 else []
+    rows += [(a, b, two_point(a, b), dh / -a if a_live else None,
+              dh / b if b_live else None)
+             for dh, _, a, b, a_live, b_live in zip(*table)]
+    # x_minus never rises and x_plus never falls with the level, so rows
+    # with the same endpoints are neighbours, and sorted by endpoints the
+    # runs of one x_minus come last run first, each in level order
+    merged = []  # [-run of x_minus, weight, law, x_minus, x_plus]
+    for a, b, law, w_a, w_b in rows:
+        if not (merged and merged[-1][3] == a and merged[-1][4] == b):
+            run = merged[-1][0] - (merged[-1][3] != a) if merged else 0
+            merged.append([run, 0, law, a, b])
+        for w in (w_a, w_b):
+            if w is not None:
+                merged[-1][1] += w
+    merged.sort(key=itemgetter(0))
+    return tuple(rows), MixtureDecomposition(
+        tuple((w, law) for _, w, law, _, _ in merged))
+
+
+def _built(measure: ZeroMeanMeasure) -> tuple:
+    """``(rows, decomposition)`` of a discrete measure, built once.
+
+    ``rows`` holds ``(a, b, law, w_a, w_b)`` for the atom at zero
+    (``a = b = 0``) and for every row of the level table, in level order,
+    with ``law = two_point(a, b)``.  The row's ordered pieces are
+    ``(a, b, w_a)`` and ``(b, a, w_b)``, each only while its side still
+    carries mass there (its weight is None otherwise): a piece of width
+    ``dh`` holds the part ``dh / |x|`` of the atom ``x``."""
+    got = _BUILT.get(measure)
+    if got is None:
+        got = _BUILT[measure] = _build(measure)
+    return got
 
 
 def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
@@ -144,14 +181,10 @@ def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
     Every level piece contributes the weights it takes from its two
     endpoints, and pieces sharing the same unordered endpoint pair are
     merged; the atom at zero is the degenerate component.  Components are
-    returned sorted by endpoints.
+    returned sorted by endpoints.  Built once per measure: a second call
+    returns the same object.
     """
-    weights: dict = {}
-    for x, partner, w in _ordered_pieces(measure):
-        key = (x, partner) if x <= partner else (partner, x)
-        weights[key] = weights.get(key, 0) + w
-    comps = tuple((weights[key], two_point(*key)) for key in sorted(weights))
-    return MixtureDecomposition(comps)
+    return _built(measure)[1]
 
 
 # --- sampling of (x, partner) pairs ---------------------------------------
@@ -227,16 +260,19 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
         return sum(p * g(l) for l, p in measure.atoms)
 
     total = 0
-    for x, partner, seg in _ordered_pieces(measure):
-        law = two_point(x, partner)
-        if mode == "u_integral":
-            factor = 1
-        elif mode == "ratio_weighted":
-            factor = 1 if x == 0 else -x / partner
-        else:  # half_sum
-            ratio = Fraction(-1) if x == 0 else x / partner
-            factor = (1 - ratio) / 2
-        total = total + seg * factor * law.expect(g)
+    for a, b, law, w_a, w_b in _built(measure)[0]:
+        expected = law.expect(g)
+        for x, partner, seg in ((a, b, w_a), (b, a, w_b)):
+            if seg is None:
+                continue
+            if mode == "u_integral":
+                term = seg * expected
+            elif mode == "ratio_weighted":
+                term = seg * (1 if x == 0 else -x / partner) * expected
+            else:  # half_sum
+                ratio = Fraction(-1) if x == 0 else x / partner
+                term = seg * ((1 - ratio) / 2) * expected
+            total = total + term
     return total
 
 
@@ -271,11 +307,24 @@ def component_ratio_moment(law: TwoPointLaw):
     return -1 + (law.a + law.b) ** 2 / (law.a * law.b)
 
 
+def _balanced_sum(terms: list):
+    """Sum of ``terms`` added in pairs, then pairs of pairs, and so on.
+
+    Exact sums of rationals keep every partial sum's denominator near
+    those of its own terms this way; added left to right the running
+    denominator grows with every term."""
+    while len(terms) > 1:
+        pairs = [x + y for x, y in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0] if terms else 0
+
+
 def ratio_moments(measure: ZeroMeanMeasure) -> RatioMoments:
     """Partner-ratio moments of a discrete measure, exact through
     :func:`decompose`."""
-    return RatioMoments(-1, sum(w * component_ratio_moment(law)
-                                for w, law in decompose(measure)))
+    terms = [w * component_ratio_moment(law) for w, law in decompose(measure)]
+    return RatioMoments(-1, _balanced_sum(terms) if measure.is_exact
+                        else sum(terms))
 
 
 # --- tilted laws ----------------------------------------------------------

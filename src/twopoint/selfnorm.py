@@ -81,9 +81,10 @@ def _studentizer(xs, rs, lam=None):
     ``x - r`` (``lam`` None), or ``(sum |x r|^lam)^(1 / (2 lam))``.
 
     Both are homogeneous of degree one in ``(x, r)``, so where one
-    overflows on finite entries it is recomputed on them scaled by an
-    exact power of two and scaled back (to infinity only if the norm
-    itself exceeds the float range)."""
+    overflows on finite entries, or underflows to zero on entries that
+    are not all zero, it is recomputed on them scaled by an exact power
+    of two and scaled back (to infinity only if the norm itself exceeds
+    the float range, to zero only if the norm itself rounds to zero)."""
     def norm(xs, rs):
         if lam is None:
             return 0.5 * np.sqrt(np.square(xs - rs).sum(axis=-1))
@@ -91,10 +92,10 @@ def _studentizer(xs, rs, lam=None):
 
     with np.errstate(over="ignore"):
         den = norm(xs, rs)
-        redo = ~np.isfinite(den)
+        redo = ~np.isfinite(den) | (den == 0)
         if redo.any():
             big = np.maximum(np.abs(xs), np.abs(rs)).max(axis=-1)
-            redo &= np.isfinite(big)
+            redo &= np.isfinite(big) & (big > 0)
             e = np.frexp(np.where(redo, big, 1.0))[1]
             scaled = norm(np.ldexp(xs, -e[..., None]),
                           np.ldexp(rs, -e[..., None]))

@@ -331,6 +331,24 @@ class TestEstimate:
         assert len(errors) == 1
         assert errors[0].startswith("error: InputError: ")
 
+    def test_subnormal_sample(self, tmp_path):
+        # the squared widths underflow, so the studentizer rescales them;
+        # the interval is finite and holds the mean
+        src = tmp_path / "xs.txt"
+        src.write_text("-3.5e-323 -1.5e-323 1e-323 0 5e-324 0 0 "
+                       "-3.5e-323 3.5e-323 3.5e-323")
+        env = {"PYTHONPATH": str(Path(twopoint.__file__).parents[1]),
+               "PATH": ""}
+        done = subprocess.run(
+            [sys.executable, "-m", "twopoint.cli", "estimate", "--input",
+             str(src), "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        out = json.loads(done.stdout)
+        assert out["denominator"] > 0
+        assert out["ci"][0] <= out["mean"] <= out["ci"][1]
+
     def test_overflowing_resamples_print_one_line(self, tmp_path):
         src = tmp_path / "xs.txt"
         src.write_text("1.5e308, -1.5e308, 1")

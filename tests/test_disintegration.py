@@ -1,6 +1,8 @@
 """Two-point mixtures: decomposition, sampling, and the level pieces."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twopoint import disintegration
 from twopoint import (MIXTURE_MODES, ZeroMeanMeasure,
                       alternative_disintegration, component_ratio_moment,
                       decompose, joint_disintegrate, mixture_expect,
@@ -279,3 +282,88 @@ class TestLevelTable:
         mu = ZeroMeanMeasure.from_atoms(
             (l + shift, p) for l, p in centred.atoms)
         assert sum(w for w, _ in decompose(mu)) == 1
+
+
+def _sorted_merge(mu):
+    """The decomposition merged through a dict and sorted by endpoints,
+    straight from the level table's pieces."""
+    table = mu._level_table()
+    pieces = [(mu._zero, 0, mu.prob_zero)] if mu.prob_zero else []
+    for dh, _, a, b, a_live, b_live in zip(*table):
+        pieces += [(a, b, dh / -a)] * a_live + [(b, a, dh / b)] * b_live
+    weights = {}
+    for x, partner, w in pieces:
+        key = (x, partner) if x <= partner else (partner, x)
+        weights[key] = weights.get(key, 0) + w
+    return [(weights[key], two_point(*key)) for key in sorted(weights)]
+
+
+def _left_to_right_er_over_x(mu):
+    return sum(w * component_ratio_moment(law) for w, law in decompose(mu))
+
+
+float_samples = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    min_size=2, max_size=12).filter(lambda vs: len(set(vs)) > 1)
+
+
+class TestBuiltOncePerMeasure:
+    def test_one_law_per_row(self, monkeypatch):
+        values = np.random.default_rng(5).integers(-40, 41, 400).tolist()
+        # a zero mean keeps the atom at zero
+        mu = ZeroMeanMeasure.from_samples(values + [-sum(values), 0])
+        assert mu.prob_zero
+        rows = len(mu._level_table().hi)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return two_point(a, b)
+
+        monkeypatch.setattr(disintegration, "two_point", counting)
+        dec = decompose(mu)
+        ratio_moments(mu)
+        for mode in MIXTURE_MODES:
+            mixture_expect(mu, lambda x: x * x, mode)
+        assert 0 < len(calls) <= rows + 1
+        assert decompose(mu) is dec
+        ref = weakref.ref(mu)
+        del mu
+        gc.collect()
+        assert ref() is None
+
+    @given(integer_samples(), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=60)
+    def test_exact_decomposition_is_the_sorted_merge(self, vals, sign):
+        # a mean inside the default tolerance leaves one side spent on
+        # the top rows, which then share their endpoints
+        centred = ZeroMeanMeasure.from_samples(vals + [-sum(vals), 0])
+        shift = sign * centred.m / 10 ** 10
+        mu = ZeroMeanMeasure.from_atoms(
+            (l + shift, p) for l, p in centred.atoms)
+        assert list(decompose(mu)) == _sorted_merge(mu)
+
+    @given(float_samples)
+    @settings(max_examples=60)
+    def test_float_decomposition_is_the_sorted_merge(self, vals):
+        mu = ZeroMeanMeasure.from_samples(vals)
+        assert list(decompose(mu)) == _sorted_merge(mu)
+
+
+class TestRatioMomentSum:
+    @given(st.one_of(small_exact_measures(),
+                     integer_samples().map(ZeroMeanMeasure.from_samples)))
+    @settings(max_examples=100)
+    def test_exact(self, mu):
+        got = ratio_moments(mu).er_over_x
+        assert isinstance(got, F)
+        assert got == _left_to_right_er_over_x(mu)
+
+    @given(float_samples)
+    @settings(max_examples=60)
+    def test_float_bit_for_bit(self, vals):
+        mu = ZeroMeanMeasure.from_samples(vals)
+        got = ratio_moments(mu).er_over_x
+        want = _left_to_right_er_over_x(mu)
+        assert isinstance(got, float)
+        assert got.hex() == want.hex()

@@ -75,6 +75,22 @@ class TestStatistics:
         assert den == pytest.approx(0.5 * math.sqrt(4.5) * 1e308, rel=1e-15)
         assert stat == pytest.approx(1.0 / den, rel=1e-15)
 
+    def test_norm_below_float_range(self):
+        # subnormal widths whose squares underflow to zero; the norm does
+        # not, and a norm of zeros stays zero
+        xs = np.array([-3.5e-323, 1e-323, 3.5e-323])
+        rs = np.array([3.5e-323, -1e-323, -3.5e-323])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            den = selfnorm._studentizer(xs, rs)
+            prod = selfnorm._studentizer(xs, rs, 1.0)
+            zero = selfnorm._studentizer(np.zeros(2), np.zeros(2))
+        widths = np.ldexp(xs - rs, 1074)  # exact small integers
+        want = math.ldexp(0.5 * math.sqrt(np.square(widths).sum()), -1074)
+        assert den == want > 0
+        assert prod > 0
+        assert zero == 0.0
+
     def test_shape_errors(self):
         with pytest.raises(LengthMismatch):
             s_w([1.0, 2.0], [3.0])
