@@ -197,7 +197,8 @@ def _cmd_test(args, out) -> int:
     shift = float(np.mean(xs))
     report = selfnorm.conservative_test(xs, pairs.partners + shift,
                                         args.mode, p=args.p, lam=args.lam)
-    emit(report.to_jsonable(), out)
+    # partners fitted from the sample void the conservative bound
+    emit({**report.to_jsonable(), "certified": False}, out)
     return 0
 
 

@@ -201,21 +201,13 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
         raise NotDiscrete("sample_pairs requires a discrete measure")
     idx = measure.sample_indices(n, rng)
     us = rng.random(int(n))
-    locs, _ = measure._float_tables()
-    table = measure._level_table()
-    # from cumulative units: an int over D divides correctly rounded, as
-    # the float of the Fraction level would
-    unit = measure._unit
-    steps = measure._steps.values()  # in atom order
-    base = np.array([c / unit for c, _ in steps])
-    jump = np.array([c / unit for _, c in steps])
+    locs, _ = measure._float_tables
+    lv = measure._float_levels
     # rounding may push a level past the top piece, never past another one
-    row = np.minimum(np.searchsorted(np.array([h / unit for h in table.hi]),
-                                     base[idx] + jump[idx] * us),
-                     len(table.hi) - 1)
+    row = np.minimum(np.searchsorted(lv.hi, lv.base[idx] + lv.jump[idx] * us),
+                     len(lv.hi) - 1)
     xs = locs[idx]
-    rs = np.where(xs > 0, np.array(table.a, dtype=float)[row],
-                  np.array(table.b, dtype=float)[row])
+    rs = np.where(xs > 0, lv.a[row], lv.b[row])
     rs[xs == 0] = 0.0
     return xs, rs, us
 
@@ -399,18 +391,16 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
     n = int(n)
     us = rng.random(n)
     if which == "G_tilde_Y":
-        tl = tilt(measure, "Y")
-        idx = tl.sample_indices(n, rng)
-        base = np.array([float(measure.g_tilde(l, 0)) for l in tl.locations])
-        slope = np.array([float(abs(l) * measure.mass_at(l))
-                          for l in tl.locations])
-        vals = (base[idx] + slope[idx] * us) / float(measure.m)
+        idx = tilt(measure, "Y").sample_indices(n, rng)
+        lv = measure._float_levels
+        # the tilt leaves out the atom at zero
+        off = np.array([l != 0 for l, _ in measure.atoms])
+        vals = ((lv.base[off][idx] + lv.jump[off][idx] * us)
+                / float(measure.m))
     else:
         idx = measure.sample_indices(n, rng)
-        base = np.array([float(measure.cdf_left(l))
-                         for l, _ in measure.atoms])
         slope = np.array([float(p) for _, p in measure.atoms])
-        vals = base[idx] + slope[idx] * us
+        vals = measure._float_levels.below[idx] + slope[idx] * us
     vals = np.sort(vals)
     grid = np.arange(1, n + 1) / n
     stat = float(np.maximum(grid - vals, vals - (grid - 1.0 / n)).max())

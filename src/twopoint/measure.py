@@ -19,9 +19,12 @@ are ints, Fractions, or numeric strings (floats stay floats): levels are
 ints over the lcm ``D`` of the denominators of the jumps ``|x| p``, cut
 by ``ceil(h D)`` at a level ``h``, and a :class:`fractions.Fraction` is
 built only where a level leaves the API.  Samples get equal weights with
-counted ties.  The *analytic* backend
-wraps a continuous cumulative curve supplied as a callable, with
-inverses computed by bisection.
+counted ties.  The *analytic* backend wraps a continuous cumulative
+curve supplied as a callable: a curve with no atoms off zero, whose
+float levels (``D = 1``) never jump, so the curves, maps and
+``u_segments`` are shared.  The backends differ in how a point finds
+its level, how a level finds its point (bisection on a curve), and in
+``level_integral``, ``prob_zero`` and ``is_symmetric``.
 
 Conventions relied on by the other modules:
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import reprlib
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -165,6 +168,13 @@ class LevelTable(NamedTuple):
     b: tuple
     a_live: tuple
     b_live: tuple
+
+
+#: float columns of a discrete measure for vectorized draws, each the float
+#: of the exact value (an int over ``D`` divides correctly rounded): per atom
+#: ``G`` just short of it, its jump and ``P(X < x)``, in atom order; per
+#: :class:`LevelTable` row ``hi``, ``a`` and ``b``
+FloatLevels = namedtuple("FloatLevels", "base jump below hi a b")
 
 
 def _bisect(below, lo, hi, tol, steps):
@@ -317,6 +327,7 @@ class ZeroMeanMeasure:
         self._one = Fraction(1) if exact else 1.0
         self._locs = list(locs)
         self._masses = list(masses)
+        self._lo, self._hi = self._locs[0], self._locs[-1]
         self._mass_map = dict(zip(self._locs, self._masses))
 
         # the jumps |x| p of G in cumulative units, ints over D when exact
@@ -340,15 +351,15 @@ class ZeroMeanMeasure:
                              2 * self._unit)
         self._cummass = list(accumulate(self._masses, initial=self._zero))
 
-        self._np_cache = None
         self._table = None
 
     def _init_analytic(self, *, g, m, lo, hi):
         self._g_raw = g
         self._m = m
-        self._lo = lo
-        self._hi = hi
+        self._lo, self._hi = lo, hi
         self._exact = False
+        self._zero, self._one, self._unit = 0.0, 1.0, 1
+        self._mass_map = {}
 
     # -- basic properties --------------------------------------------------
 
@@ -374,9 +385,7 @@ class ZeroMeanMeasure:
 
     @property
     def support(self):
-        if self._backend == "analytic":
-            return (self._lo, self._hi)
-        return (self._locs[0], self._locs[-1])
+        return (self._lo, self._hi)
 
     @cached_property
     def prob_zero(self):
@@ -400,9 +409,7 @@ class ZeroMeanMeasure:
     def mass_at(self, x):
         """Point mass at ``x`` (zero for analytic backends off zero)."""
         x = _query_number(x)
-        if self._backend == "analytic":
-            return self.prob_zero if x == 0 else 0.0
-        return self._mass_map.get(x, self._zero)
+        return self.prob_zero if x == 0 else self._mass_map.get(x, self._zero)
 
     def _require_discrete(self, what: str):
         if self._backend != "discrete":
@@ -432,6 +439,8 @@ class ZeroMeanMeasure:
 
     def _at(self, x):
         """``(G just short of x, the jump of G at x)``, cumulative units."""
+        if self._backend == "analytic":
+            return self._g_eval(x), 0.0
         step = self._steps.get(x)
         if step is not None:
             return step
@@ -449,19 +458,17 @@ class ZeroMeanMeasure:
 
     def g(self, x):
         """The cumulative curve ``G`` at ``x`` (extended reals allowed)."""
-        x = _query_number(x)
-        if self._backend == "analytic":
-            return self._g_eval(x)
-        base, jump = self._at(x)
+        base, jump = self._at(_query_number(x))
         return self._frac(base + jump, self._unit)
 
     def g_tilde(self, x, u):
         """Randomized cumulative curve: the jump of G at an atom ``x`` is
         traversed linearly in ``u``; away from atoms this is just ``G(x)``."""
         u = _check_u(u)
-        x = _query_number(x)
-        if self._backend == "analytic":
-            return self._g_eval(x)
+        return self._g_tilde(_query_number(x), u)
+
+    def _g_tilde(self, x, u):
+        """:meth:`g_tilde` at a checked ``x`` and ``u``."""
         base, jump = self._at(x)
         level = self._frac(base, self._unit)
         return level + abs(x) * self._mass_map[x] * u if jump else level
@@ -520,43 +527,42 @@ class ZeroMeanMeasure:
     # -- reciprocating maps -----------------------------------------------
 
     def _through(self, x, u, side: int):
-        """``g_tilde(x, u)`` through the inverse on ``x``'s side, or on the
-        other for ``side = -1``; exact ``x`` and ``u`` key it on D."""
-        x, u = _query_number(x), _check_u(u)
+        """``(point, level)``: ``g_tilde(x, u)`` at a checked ``x`` and ``u``
+        through the inverse on ``x``'s side, or on the other for ``side = -1``;
+        exact ``x`` and ``u = num / den`` give the level as ``(c, den)``, the
+        int ``c`` in units of ``1 / (D den)``."""
         if self._exact and isinstance(x, Fraction) and isinstance(u, Fraction):
             base, jump = self._at(x)
-            key = base - (-jump * u.numerator // u.denominator)
+            num, den = u.as_integer_ratio()
+            c = base * den + jump * num
+            level, key = (c, den), -(-c // den)
         else:
-            key = self._key(self.g_tilde(x, u))
-        return self._invert(key, side if x >= 0 else -side)
+            level = self._g_tilde(x, u)
+            key = self._key(level)
+        return self._invert(key, side if x >= 0 else -side), level
 
     def reciprocate(self, x, u=1):
         """Opposite-sign partner ``r(x, u)`` of ``x`` at randomization ``u``."""
-        return self._through(x, u, -1)
+        return self._through(_query_number(x), _check_u(u), -1)[0]
 
     def regularize(self, x, u=1):
         """Same-side regularization: the point ``x`` snaps to once the
         curve level ``g_tilde(x, u)`` is pushed back through the same-side
         inverse.  Equals ``x`` almost surely under the measure itself."""
-        return self._through(x, u, 1)
+        return self._through(_query_number(x), _check_u(u), 1)[0]
 
     def v_map(self, x, u=1):
         """Randomization level ``v`` that makes reciprocation involutive:
         ``reciprocate(reciprocate(x, u), v) == regularize(x, u)``."""
-        x, u = _query_number(x), _check_u(u)
-        y = self.reciprocate(x, u)
-        if self._backend == "analytic":
-            return 1.0
+        y, level = self._through(_query_number(x), _check_u(u), -1)
         lower, jump = self._at(y)  # G just short of y, and its jump there
         if lower + jump == lower:
             return self._one
-        if self._exact and isinstance(x, Fraction) and isinstance(u, Fraction):
-            base, rise = self._at(x)
-            num, den = u.as_integer_ratio()
-            return Fraction((base - lower) * den + rise * num, jump * den)
+        if isinstance(level, tuple):
+            c, den = level
+            return Fraction(c - lower * den, jump * den)
         low = self._frac(lower, self._unit)
-        return ((self.g_tilde(x, u) - low)
-                / (self._frac(lower + jump, self._unit) - low))
+        return (level - low) / (self._frac(lower + jump, self._unit) - low)
 
     # -- the canonical pairing ---------------------------------------------
 
@@ -593,11 +599,10 @@ class ZeroMeanMeasure:
         can share a partner.
         """
         x = _query_number(x)
-        if self._backend == "analytic":
-            return [(0.0, 1.0, self.reciprocate(x, 1))]
         base, jump = self._at(x)
         if jump == 0:
-            return [(self._zero, self._one, self.reciprocate(x, 1))]
+            return [(self._zero, self._one,
+                     self._invert(base, -1 if x >= 0 else 1))]
         table = self._level_table()
         partners = table.a if x > 0 else table.b
         low, step = self._frac(base, self._unit), abs(x) * self._mass_map[x]
@@ -640,13 +645,15 @@ class ZeroMeanMeasure:
         return self._mass_below(h, -1, "h_minus")
 
     def _mass_below(self, h, sign, what):
-        """One side's cumulative levels up to ``h``, summed by pieces."""
+        """One side's levels up to ``h``, summed by pieces in cumulative
+        units and divided by ``D`` once (exactly, for a float ``h`` too)."""
         h = _check_level(h)
         self._require_discrete(what)
         cum = self._pos_cum if sign > 0 else self._neg_cum
-        levels = [self._frac(c, self._unit) for c in cum]
-        return sum((min(level, h) - prev for prev, level
-                    in zip(levels, levels[1:]) if h > prev), levels[0])
+        key = Fraction(h) * self._unit if self._exact and h != INF else h
+        return self._frac(sum((min(c, key) - prev for prev, c
+                               in zip(cum, cum[1:]) if key > prev), cum[0]),
+                          self._unit)
 
     # -- distribution queries ---------------------------------------------
 
@@ -694,24 +701,35 @@ class ZeroMeanMeasure:
 
     # -- sampling ----------------------------------------------------------
 
+    @cached_property
     def _float_tables(self):
-        if self._np_cache is None:
-            locs = np.array([float(l) for l in self._locs])
-            probs = np.array([float(p) for p in self._masses])
-            probs = probs / probs.sum()
-            self._np_cache = (locs, probs)
-        return self._np_cache
+        """Float locations and normalized masses, for draws."""
+        locs = np.array([float(l) for l in self._locs])
+        probs = np.array([float(p) for p in self._masses])
+        return locs, probs / probs.sum()
+
+    @cached_property
+    def _float_levels(self) -> FloatLevels:
+        """The :class:`FloatLevels` of a discrete measure, built once."""
+        table = self._level_table()
+        steps = self._steps.values()  # in atom order
+        return FloatLevels(
+            np.array([c / self._unit for c, _ in steps]),
+            np.array([c / self._unit for _, c in steps]),
+            np.array([float(c) for c in self._cummass[:-1]]),
+            np.array([h / self._unit for h in table.hi]),
+            np.array(table.a, dtype=float), np.array(table.b, dtype=float))
 
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` i.i.d. values (discrete only)."""
         idx = self.sample_indices(n, rng)
-        locs, _ = self._float_tables()
+        locs, _ = self._float_tables
         return locs[idx]
 
     def sample_indices(self, n: int, rng) -> np.ndarray:
         """Indices into :attr:`atoms` for ``n`` i.i.d. draws."""
         self._require_discrete("sample_indices")
-        _, probs = self._float_tables()
+        _, probs = self._float_tables
         return rng.choice(len(probs), size=int(n), p=probs)
 
     # -- serialization -----------------------------------------------------

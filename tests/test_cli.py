@@ -139,6 +139,17 @@ class TestTest:
         assert code == 0
         assert json.loads(out)["n"] == 6
 
+    @pytest.mark.parametrize("mode", [["--mode", "gaussian"],
+                                      ["--mode", "bernoulli", "--p", "0.33"]])
+    def test_fitted_partners_are_not_certified(self, tmp_path, capsys, mode):
+        src = tmp_path / "xs.txt"
+        src.write_text("-3 -1 -1 0 2 3\n")
+        code, out, _ = run(capsys, ["test", "--input", str(src), *mode])
+        assert code == 0
+        data = json.loads(out)
+        assert data["certified"] is False
+        assert 0.0 <= data["p_value"] <= 1.0
+
     def test_width_norm_overflow_is_quiet(self, tmp_path, capsys):
         src = tmp_path / "xs.txt"
         src.write_text("1.5e308 -1.5e308 1")

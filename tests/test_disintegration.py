@@ -367,3 +367,82 @@ class TestRatioMomentSum:
         want = _left_to_right_er_over_x(mu)
         assert isinstance(got, float)
         assert got.hex() == want.hex()
+
+
+# --- the float view against the per-atom formulas it replaced ---------------
+
+def _per_atom_sample_pairs(mu, n, rng):
+    """``sample_pairs`` as it read the lattice off the measure's fields."""
+    idx = mu.sample_indices(n, rng)
+    us = rng.random(int(n))
+    locs = np.array([float(l) for l, _ in mu.atoms])
+    table = mu._level_table()
+    unit = mu._unit
+    steps = mu._steps.values()
+    base = np.array([c / unit for c, _ in steps])
+    jump = np.array([c / unit for _, c in steps])
+    row = np.minimum(np.searchsorted(np.array([h / unit for h in table.hi]),
+                                     base[idx] + jump[idx] * us),
+                     len(table.hi) - 1)
+    xs = locs[idx]
+    rs = np.where(xs > 0, np.array(table.a, dtype=float)[row],
+                  np.array(table.b, dtype=float)[row])
+    rs[xs == 0] = 0.0
+    return xs, rs, us
+
+
+def _per_atom_uniformity_values(mu, which, n, rng):
+    """The transformed draws of ``uniformity_check`` with one API call
+    per atom, before the sort."""
+    us = rng.random(n)
+    if which == "G_tilde_Y":
+        tl = tilt(mu, "Y")
+        idx = tl.sample_indices(n, rng)
+        base = np.array([float(mu.g_tilde(l, 0)) for l in tl.locations])
+        slope = np.array([float(abs(l) * mu.mass_at(l))
+                          for l in tl.locations])
+        return (base[idx] + slope[idx] * us) / float(mu.m)
+    idx = mu.sample_indices(n, rng)
+    base = np.array([float(mu.cdf_left(l)) for l, _ in mu.atoms])
+    slope = np.array([float(p) for _, p in mu.atoms])
+    return base[idx] + slope[idx] * us
+
+
+def _prime_lattice():
+    """500 atoms with distinct prime denominators: D is far past the
+    float range."""
+    ps, n = [], 2
+    while len(ps) < 500:
+        if all(n % p for p in ps if p * p <= n):
+            ps.append(n)
+        n += 1
+    return ZeroMeanMeasure.from_atoms(
+        [(F((-1) ** i * (i + 1), p), F(1, 500)) for i, p in enumerate(ps)],
+        recentre=True)
+
+
+FLOAT_VIEW_MEASURES = {
+    "exact": lambda: ZeroMeanMeasure.from_atoms(
+        [(-1, "5/10"), (0, "1/10"), (1, "3/10"), (2, "1/10")]),
+    "tiny-mean": lambda: ZeroMeanMeasure.from_atoms(
+        [(-1, "1/2"), (F(1, 2), "1/4"), (F(3, 2) + F(4, 10 ** 12), "1/4")]),
+    "primes": _prime_lattice,
+    "float": lambda: ZeroMeanMeasure.from_samples(
+        np.random.default_rng(5).standard_t(3, 400)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLOAT_VIEW_MEASURES))
+def test_float_view_is_bit_identical(kind):
+    mu = FLOAT_VIEW_MEASURES[kind]()
+    got = sample_pairs(mu, 5000, np.random.default_rng(11))
+    want = _per_atom_sample_pairs(mu, 5000, np.random.default_rng(11))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    for which in ("G_tilde_Y", "F_tilde_X"):
+        vals = np.sort(_per_atom_uniformity_values(
+            mu, which, 5000, np.random.default_rng(12)))
+        grid = np.arange(1, 5001) / 5000
+        stat = float(np.maximum(grid - vals, vals - (grid - 1 / 5000)).max())
+        rep = uniformity_check(mu, which, 5000, rng=np.random.default_rng(12))
+        assert rep.statistic == stat, which

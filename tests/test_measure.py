@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twopoint import INF, NEG_INF, ZeroMeanMeasure
+from twopoint import INF, NEG_INF, ZeroMeanMeasure, measure
 from twopoint.errors import (BadMass, DegenerateAtZero, EmptySample,
                              ConstantSample, InputError, NegativeH,
                              NonZeroMean, NotDiscrete)
@@ -167,6 +167,30 @@ class TestPairing:
             assert lo == 1
 
 
+class TestChecksOnce:
+    """Each public map parses and range-checks each argument once; the
+    nested steps take the numbers as checked."""
+
+    @pytest.mark.parametrize("name", ["g_tilde", "reciprocate",
+                                      "regularize", "v_map"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("u", [F(1, 3), 1 / 3], ids=["u-exact", "u-float"])
+    def test_one_check_per_argument(self, monkeypatch, name, exact, u):
+        atoms = [(-1, "5/10"), (0, "1/10"), (1, "3/10"), (2, "1/10")]
+        if not exact:
+            atoms = [(float(l), float(F(p))) for l, p in atoms]
+        mu = ZeroMeanMeasure.from_atoms(atoms)
+        calls = []
+        for fn in ("_check_u", "_query_number"):
+            def counted(v, _fn=getattr(measure, fn), _name=fn):
+                calls.append(_name)
+                return _fn(v)
+            monkeypatch.setattr(measure, fn, counted)
+        getattr(mu, name)(mu.atoms[2][0], u)
+        assert sorted(calls) == ["_check_u", "_query_number",
+                                 "_query_number"]
+
+
 class TestDistribution:
     def test_cdf(self, four_atom):
         cdf = four_atom.cdf
@@ -261,6 +285,29 @@ class TestAnalytic:
         assert repr(mu) == "ZeroMeanMeasure(analytic, m=0.25)"
         with pytest.raises(NotDiscrete):
             mu.cdf(0.5)
+
+    @pytest.mark.parametrize("x", [NEG_INF, -1, -0.5, 0, 0.5, 1, INF])
+    def test_atomless_curve_on_the_shared_path(self, x):
+        """An analytic measure answers as a curve with no atoms: float
+        levels, no jump to split, and ``v = 1``."""
+        mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4, 0.25, (-1, 1))
+        level = min(float(x) ** 2 / 4, 0.25)
+        partner = -min(max(float(x), -1.0), 1.0)
+
+        def is_float(v, want):
+            return type(v) is float and v == want
+
+        assert is_float(mu.g(x), level)
+        for u in (0, F(1, 3), 1):
+            assert is_float(mu.g_tilde(x, u), level)
+            assert is_float(mu.v_map(x, u), 1.0)
+            assert mu.reciprocate(x, u) == pytest.approx(partner, abs=1e-9)
+        [(u_lo, u_hi, r)] = mu.u_segments(x)
+        assert is_float(u_lo, 0.0) and is_float(u_hi, 1.0)
+        assert r == pytest.approx(partner, abs=1e-9)
+        assert type(mu.mass_at(x)) is float
+        assert mu.mass_at(x) == (mu.prob_zero if x == 0 else 0.0)
+        assert mu.support == (-1, 1)
 
     def test_uniform_has_no_mass_at_zero(self):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4, 0.25, (-1, 1))
