@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadLambda, BadLevel, ConstantSample, EmptySample,
-                     InputError, TooFewResamples)
-from .selfnorm import _ratio, _studentizer
+from .errors import (BadLambda, BadLevel, ConstantSample, InputError,
+                     TooFewResamples)
+from .selfnorm import _as_rows, _ratio, _studentizer
 
 __all__ = [
     "EmpiricalPartners",
@@ -47,20 +47,6 @@ PIVOT_KINDS = ("W", "Y_lambda")
 #: bytes of one float array over a chunk of bootstrap resamples; the
 #: dozen such temporaries of a chunk then fit in a core's cache
 _CHUNK_BYTES = 1 << 17
-
-
-def _as_rows(xs) -> np.ndarray:
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 1:
-        raise InputError("expected a one-dimensional sample")
-    if arr.size == 0:
-        raise EmptySample("empty sample")
-    if not np.isfinite(arr).all():
-        raise InputError("sample contains non-finite entries")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(arr.sum()):
-            raise InputError("sample sum overflows the float range")
-    return arr
 
 
 def _covering(cum: np.ndarray, w: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -153,8 +139,8 @@ def denominator(xs, kind: str = "W", lam: float = 1.0) -> float:
 def pivot(xs, theta, kind: str = "W", lam: float = 1.0) -> float:
     """Normalized pivot ``(sum(x) - n theta) / denominator``; linear and
     decreasing in ``theta``."""
-    arr = _as_rows(xs)
-    den = denominator(arr, kind, lam)
+    den = denominator(xs, kind, lam)
+    arr = np.asarray(xs, dtype=float)
     return float((arr.sum() - arr.size * float(theta)) / den)
 
 
@@ -218,10 +204,10 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
         raise TooFewResamples(f"{resamples} resamples cannot resolve "
                               "the quantiles; use at least 100")
     lam = _check_kind(kind, lam)
-    arr = _as_rows(xs)
+    den0 = denominator(xs, kind, lam)
+    arr = np.asarray(xs, dtype=float)
     n = arr.size
     xbar = float(arr.mean())
-    den0 = denominator(arr, kind, lam)
 
     if rng is None:
         rng = np.random.default_rng(seed)

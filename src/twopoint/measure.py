@@ -213,11 +213,12 @@ class ZeroMeanMeasure:
                    recentre: bool = False) -> "ZeroMeanMeasure":
         """Build a discrete measure from ``(location, mass)`` pairs.
 
-        Duplicate locations are merged.  Masses must be positive and sum
-        to one within ``1e-12``.  Unless ``recentre`` is set the weighted
-        mean must vanish within ``1e-9 * E|X|``, so both sides of zero
-        carry mass; with ``recentre`` the mean is subtracted first,
-        exactly so on the rational path.
+        Each entry is parsed once, then duplicate locations merge.  The
+        masses as given must be positive and sum to one within ``1e-12``
+        (``math.fsum`` on floats).  Unless ``recentre`` is set the mean
+        must vanish within ``1e-9 * E|X|``, so both sides of zero carry
+        mass; ``recentre`` subtracts it first, exactly so on the rational
+        path, and raises ``ConstantSample`` at a single location.
         """
         pairs = []
         for entry in atoms:
@@ -242,16 +243,17 @@ class ZeroMeanMeasure:
         exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
         if not exact:
             pairs = [(float(a), float(b)) for a, b in pairs]
+        total = (sum if exact else math.fsum)(mass for _, mass in pairs)
+        if abs(total - 1) > MASS_SUM_TOL:
+            raise BadMass(f"masses sum to {_approx(total)}, expected 1")
 
         merged: dict = {}
         for loc, mass in pairs:
             merged[loc] = merged.get(loc, 0) + mass
         locs = sorted(merged)
         masses = [merged[loc] for loc in locs]
-
-        total = sum(masses)
-        if abs(total - 1) > MASS_SUM_TOL:
-            raise BadMass(f"masses sum to {_approx(total)}, expected 1")
+        if recentre and len(locs) == 1:
+            raise ConstantSample("all atoms sit at one location")
 
         mean = sum(l * p for l, p in zip(locs, masses))
         if recentre and mean != 0:
@@ -272,7 +274,7 @@ class ZeroMeanMeasure:
     def from_samples(cls, samples) -> "ZeroMeanMeasure":
         """Empirical measure of ``samples``: equal weights, ties merged,
         the sample mean subtracted.  Integer or Fraction samples keep the
-        whole construction exact.
+        whole construction exact; :meth:`from_atoms` parses the entries.
         """
         raw = np.asarray(samples).ravel().tolist() \
             if isinstance(samples, np.ndarray) else list(samples)
@@ -281,19 +283,13 @@ class ZeroMeanMeasure:
             raise EmptySample("no observations supplied")
         if any(isinstance(v, (float, np.floating)) for v in raw):
             # floats stay floats, each observation adding its own weight
-            values, masses = [_as_number(v) for v in raw], repeat(1.0 / n)
-        else:
-            try:  # ties counted on the raw entries, typed so True is not 1
-                counts = Counter(zip(map(type, raw), raw))
-            except TypeError:  # an unhashable entry, which is no number
-                counts = Counter((None, _as_number(v)) for v in raw)
-            values = [_as_number(v) for _, v in counts]
-            masses = [Fraction(c, n) for c in counts.values()]
-        if all(v == values[0] for v in values):
-            raise ConstantSample("all observations are equal")
-        if not all(isinstance(v, Fraction) for v in values):
-            values = [float(v) for v in values]
-        return cls.from_atoms(zip(values, masses), recentre=True)
+            return cls.from_atoms(zip(raw, repeat(1.0 / n)), recentre=True)
+        try:  # ties counted on the raw entries, typed so True is not 1
+            counts = Counter(zip(map(type, raw), raw))
+        except TypeError:  # an unhashable entry, which is no number
+            counts = Counter((None, _as_number(v)) for v in raw)
+        return cls.from_atoms(((v, Fraction(c, n)) for (_, v), c
+                               in counts.items()), recentre=True)
 
     @classmethod
     def analytic(cls, g: Callable[[float], float], m,

@@ -12,6 +12,9 @@ The first admits a universal Gaussian tail comparison with constant
 ``x / |r|``, a comparison against sums of standardized Bernoulli
 variables with constant ``2 e^3 / 9``, taken through the least
 log-concave majorant of the exact Bernoulli tail.
+
+The one float-sample check lives here too; both statistic layers, these
+tests and the estimator, use it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     AsymmetryViolated,
     BadLambda,
     BadP,
+    EmptySample,
     InputError,
     LambdaTooSmall,
     LengthMismatch,
@@ -62,17 +66,27 @@ BERNOULLI_CONSTANT = 2 * math.e ** 3 / 9
 MAX_MODEL_SIZE = 1_000_000
 
 
+def _as_rows(xs) -> np.ndarray:
+    """The one float-sample check: a nonempty one-dimensional array of
+    finite entries whose sum is finite."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim != 1:
+        raise InputError("expected a one-dimensional sample")
+    if arr.size == 0:
+        raise EmptySample("empty sample")
+    if not np.isfinite(arr).all():
+        raise InputError("sample contains non-finite entries")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr.sum()):
+            raise InputError("sample sum overflows the float range")
+    return arr
+
+
 def _paired(xs, rs):
-    xs = np.asarray(xs, dtype=float)
+    xs = _as_rows(xs)
     rs = np.asarray(rs, dtype=float)
-    if xs.ndim != 1 or rs.ndim != 1:
-        raise InputError("observations must be one-dimensional")
-    if xs.shape != rs.shape:
+    if rs.shape != xs.shape:
         raise LengthMismatch(f"{xs.size} observations vs {rs.size} partners")
-    if xs.size == 0:
-        raise InputError("need at least one observation")
-    if not np.isfinite(xs).all():
-        raise InputError("observations must be finite")
     return xs, rs
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -34,3 +36,23 @@ def third_discrete():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps the function ``module.name`` in
+    every package module that binds it, and returns the list that gets
+    one entry per call."""
+    def wrap(module, name):
+        fn = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            package = getattr(mod, "__name__", "").split(".")[0]
+            if package == "twopoint" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return wrap

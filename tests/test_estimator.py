@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint import (PivotRun, ZeroMeanMeasure, bootstrap_ci, denominator,
-                      empirical_partners, estimator, pivot)
+                      empirical_partners, estimator, pivot, selfnorm)
 from twopoint.errors import (BadLambda, BadLevel, ConstantSample,
                              EmptySample, InputError, TooFewResamples)
 
@@ -56,6 +56,21 @@ class TestPartners:
             bootstrap_ci([2.0] * 30, seed=1, resamples=150)
         with pytest.raises(InputError):
             empirical_partners([1.0, math.inf])
+
+
+@pytest.mark.parametrize("run", [
+    lambda xs: empirical_partners(xs),
+    lambda xs: denominator(xs),
+    lambda xs: pivot(xs, 0.0, "Y_lambda", 1.5),
+    lambda xs: bootstrap_ci(xs, resamples=100, seed=1),
+    lambda xs: selfnorm.s_w(xs, xs[::-1]),
+    lambda xs: selfnorm.s_y(xs, xs[::-1], 1.0),
+], ids=["empirical_partners", "denominator", "pivot", "bootstrap_ci",
+        "s_w", "s_y"])
+def test_sample_checked_once(count_calls, run):
+    calls = count_calls(selfnorm, "_as_rows")
+    run([3.0, -1.0, -1.0, 0.5, 2.0])
+    assert len(calls) == 1
 
 
 def raw_partner_lists(xs):

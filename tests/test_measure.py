@@ -67,6 +67,24 @@ class TestConstruction:
         assert dict(mu.atoms)[F(-2)] == F(1, 4)
         assert mu.m == F(3, 4)
 
+    @pytest.mark.parametrize("n", [36_217, 100_000])
+    def test_any_count_of_float_samples(self, n):
+        # n copies of the float 1/n summed left to right miss 1 by up to
+        # about n 2^-53, past the mass tolerance from n = 36 217 on
+        xs = np.random.default_rng(17).standard_t(3, size=n)
+        mu = ZeroMeanMeasure.from_samples(xs)
+        assert len(mu.atoms) == n
+
+    def test_one_location_left_by_recentring(self):
+        with pytest.raises(ConstantSample):
+            ZeroMeanMeasure.from_samples([2.5] * 50_000)
+        with pytest.raises(ConstantSample):
+            ZeroMeanMeasure.from_atoms([(3, 1)], recentre=True)
+        with pytest.raises(ConstantSample):
+            ZeroMeanMeasure.from_samples([1, 1.0, "1", F(1)])
+        with pytest.raises(InputError, match="must be finite"):
+            ZeroMeanMeasure.from_samples([math.inf, math.inf])
+
 
 class TestCurve:
     def test_g_values(self, four_atom):
@@ -189,6 +207,17 @@ class TestChecksOnce:
         getattr(mu, name)(mu.atoms[2][0], u)
         assert sorted(calls) == ["_check_u", "_query_number",
                                  "_query_number"]
+
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    def test_samples_parsed_once(self, count_calls, kind):
+        # from_atoms parses each location and its mass; from_samples
+        # hands it the raw entries
+        xs = np.random.default_rng(3).standard_t(3, size=500)
+        if kind == "int":
+            xs = np.round(100 * xs).astype(int)
+        calls = count_calls(measure, "_as_number")
+        ZeroMeanMeasure.from_samples(xs)
+        assert len(calls) == 2 * len(set(xs.tolist()))
 
 
 class TestDistribution:

@@ -101,6 +101,21 @@ class TestStatistics:
         with pytest.raises(BadLambda):
             s_y([1.0], [-1.0], 0.0)
 
+    @pytest.mark.parametrize("run", [
+        lambda xs, rs: s_w(xs, rs),
+        lambda xs, rs: s_y(xs, rs, 1.0),
+        lambda xs, rs: conservative_test(xs, rs),
+        lambda xs, rs: conservative_test(xs, rs, "bernoulli", p=0.3),
+    ], ids=["s_w", "s_y", "gaussian", "bernoulli"])
+    def test_sum_overflow_is_an_input_error(self, run):
+        # finite entries whose sum overflows: the statistic is 4/3, not
+        # the inf that a float sum gives
+        xs, rs = [1e308, 1e308, -1.0], [-1e308, -1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="sum overflows"):
+                run(xs, rs)
+
 
 class TestTails:
     def test_normal_tail(self):
