@@ -102,6 +102,21 @@ def _check_kind(kind: str, lam) -> float:
     return lam
 
 
+def _stable_order(arr: np.ndarray) -> np.ndarray:
+    """``np.argsort(arr, kind="stable")`` without timsort: the default
+    sort, then each run of equal sorted values put back in index order
+    by sorting the unique key ``run * n + index``."""
+    order = np.argsort(arr)
+    ordered = arr[order]
+    run = np.zeros(arr.size, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
+    run *= arr.size
+    key = run + order
+    key.sort()
+    # the runs keep their places, so the key minus its run is the index
+    return key - run
+
+
 @dataclass(frozen=True)
 class EmpiricalPartners:
     """Per-observation partners of a recentred sample, original order."""
@@ -116,7 +131,7 @@ def empirical_partners(xs) -> EmpiricalPartners:
     ones."""
     arr = _as_rows(xs)
     total = np.array([arr.sum()])
-    order = np.argsort(arr, kind="stable")
+    order = _stable_order(arr)
     _, R = _sorted_partners(arr[order][None, :], total)
     partners = np.empty_like(arr)
     partners[order] = R[0]

@@ -19,6 +19,7 @@ tests and the estimator, use it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -62,7 +63,8 @@ GAUSSIAN_CONSTANT = math.factorial(5) * (math.e / 5) ** 5
 #: constant in the Bernoulli comparison for the product-normalized statistic
 BERNOULLI_CONSTANT = 2 * math.e ** 3 / 9
 
-#: largest Bernoulli model size kept exact
+#: largest size of the whole Bernoulli tail table; the test reads a window
+#: of the tail and has no cap
 MAX_MODEL_SIZE = 1_000_000
 
 
@@ -125,14 +127,18 @@ def _ratio(num, den):
         return np.where((num == 0) & (den == 0), 0.0, np.divide(num, den))
 
 
+def _statistic(xs, rs, lam=None) -> float:
+    """``sum x`` over the :func:`_studentizer` of checked arrays."""
+    return float(_ratio(xs.sum(), _studentizer(xs, rs, lam)))
+
+
 def s_w(xs, rs) -> float:
     """Width-normalized statistic ``sum x / (0.5 sqrt(sum (x - r)^2))``.
 
     An infinite partner drives the statistic to zero; an all-zero
     denominator with zero numerator is read as zero.
     """
-    xs, rs = _paired(xs, rs)
-    return float(_ratio(xs.sum(), _studentizer(xs, rs)))
+    return _statistic(*_paired(xs, rs))
 
 
 def s_y(xs, rs, lam) -> float:
@@ -141,8 +147,7 @@ def s_y(xs, rs, lam) -> float:
     lam = float(lam)
     if not lam > 0:
         raise BadLambda(f"lambda must be positive, got {lam!r}")
-    xs, rs = _paired(xs, rs)
-    return float(_ratio(xs.sum(), _studentizer(xs, rs, lam)))
+    return _statistic(*_paired(xs, rs), lam)
 
 
 def lambda_star(p) -> float:
@@ -221,26 +226,34 @@ def _bd0(x, mu):
     return out
 
 
+def _binom_log_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """``log P(K = k)`` at ``k = lo..hi - 1`` for ``K`` Binomial(``n``,
+    ``p``), in Loader's saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000), as in R's ``dbinom``;
+    it keeps its relative accuracy however small the probability."""
+    log_pmf = np.empty(hi - lo)
+    a, b = max(lo, 1), min(hi, n)
+    k = np.arange(a, b, dtype=float)
+    log_pmf[a - lo:b - lo] = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+        - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+        - 0.5 * (math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)))
+    if lo == 0:
+        log_pmf[0] = n * math.log1p(-p)
+    if hi == n + 1:
+        log_pmf[-1] = n * math.log(p)
+    return log_pmf
+
+
 def _binom_log_tails(n: int, p: float) -> np.ndarray:
     """``log P(K >= k)`` at ``k = 0..n`` for ``K`` Binomial(``n``, ``p``).
 
-    The log-pmf is Loader's saddle-point form (C. Loader, "Fast and
-    accurate computation of binomial probabilities", 2000), as in R's
-    ``dbinom``; it keeps its relative accuracy however small the
-    probability.  Above ``floor(n p)`` the log-tails are running log-sums
-    of it from the top.  The median is ``floor(n p)`` or ``ceil(n p)``, so
-    at and below ``floor(n p)`` a tail can be near one: there it is
+    Above ``floor(n p)`` the log-tails are running log-sums of the
+    log-pmf from the top.  The median is ``floor(n p)`` or ``ceil(n p)``,
+    so at and below ``floor(n p)`` a tail can be near one: there it is
     ``log1p`` of minus the lower sum, which keeps the relative accuracy
     the upper sum loses."""
-    k = np.arange(1, n, dtype=float)
-    stirl = _stirlerr(k)
-    log_pmf = np.empty(n + 1)
-    log_pmf[0] = n * math.log1p(-p)
-    log_pmf[n] = n * math.log(p)
-    log_pmf[1:n] = (_stirlerr(n) - stirl - stirl[::-1]
-                    - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
-                    - 0.5 * (math.log(2 * math.pi) + np.log(k)
-                             + np.log1p(-k / n)))
+    log_pmf = _binom_log_pmf(n, p, 0, n + 1)
     m = min(int(n * p), n - 1)
     log_tails = np.empty(n + 1)
     log_tails[0] = 0.0
@@ -248,6 +261,68 @@ def _binom_log_tails(n: int, p: float) -> np.ndarray:
         log_pmf[:m])))
     log_tails[m + 1:] = np.logaddexp.accumulate(log_pmf[:m:-1])[::-1]
     return log_tails
+
+
+#: log of the share of its largest term that the terms a window drops may
+#: sum to: far below the rounding of any sum the window holds
+_LOG_DROPPED = -64 * math.log(2)
+
+
+def _binom_log_tail(n: int, p: float, k: int) -> float:
+    """``_binom_log_tails(n, p)[k]`` from a window of the log-pmf.
+
+    The window sums the table's terms in the table's order and drops the
+    far ones: below ``k`` for a lower sum, from its top for an upper one.
+    The ratio of neighbouring pmf terms is monotone in ``k``, so the
+    dropped terms sum to at most the window's edge term times
+    ``r / (1 - r)``, with ``r`` the ratio at the edge.  The window
+    doubles until that bound is below ``2^-64`` of its largest term, or
+    until it reaches 0 or ``n``."""
+    if k == 0:
+        return 0.0
+    lower = k <= min(int(n * p), n - 1)
+    log_odds = math.log(p) - math.log1p(-p)
+    width = 64
+    while True:
+        if lower:
+            lo, hi = max(0, k - width), k
+            log_pmf = _binom_log_pmf(n, p, lo, hi)
+            if lo == 0:
+                break
+            # pmf(j - 1) / pmf(j) = j / (n - j + 1) * q / p, largest at lo
+            edge = log_pmf[0]
+            log_r = math.log(lo) - math.log(n - lo + 1) - log_odds
+        else:
+            lo, hi = k, min(n + 1, k + width)
+            log_pmf = _binom_log_pmf(n, p, lo, hi)
+            if hi == n + 1:
+                break
+            # pmf(j + 1) / pmf(j) = (n - j) / (j + 1) * p / q, largest at
+            # the last term kept
+            edge = log_pmf[-1]
+            log_r = math.log(n - hi + 1) - math.log(hi) + log_odds
+        if log_r < 0 and (edge + log_r - math.log(-math.expm1(log_r))
+                          <= log_pmf.max() + _LOG_DROPPED):
+            break
+        width *= 2
+    if lower:
+        return float(np.log1p(-np.exp(np.logaddexp.accumulate(log_pmf)[-1])))
+    return float(np.logaddexp.accumulate(log_pmf[::-1])[-1])
+
+
+def _check_log_concave(n: int, p: float, log_tails: np.ndarray) -> None:
+    bend = np.diff(log_tails, 2)
+    if bend.size and bend.max() > CONCAVITY_TOL:
+        raise NotLogConcave(
+            f"binomial log-tail at n={n}, p={p!r} bends upward by "
+            f"{float(bend.max())!r}")
+
+
+def _support(n: int, p: float, lam: float, k):
+    """Standardized Bernoulli-sum value at ``k`` successes (an int or an
+    integer array)."""
+    scale = math.sqrt(p * (1 - p)) * n ** (1.0 / (2.0 * lam))
+    return (k - n * p) / scale
 
 
 @dataclass(frozen=True)
@@ -300,15 +375,30 @@ def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
     lam = float(lam)
     if not lam > 0:
         raise BadLambda(f"lambda must be positive, got {lam!r}")
-    scale = math.sqrt(p * (1 - p)) * n ** (1.0 / (2.0 * lam))
-    support = (np.arange(n + 1) - n * p) / scale
     log_tails = _binom_log_tails(n, p)
-    bend = np.diff(log_tails, 2)
-    if bend.size and bend.max() > CONCAVITY_TOL:
-        raise NotLogConcave(
-            f"binomial log-tail at n={n}, p={p!r} bends upward by "
-            f"{float(bend.max())!r}")
+    _check_log_concave(n, p, log_tails)
+    support = _support(n, p, lam, np.arange(n + 1))
     return BernoulliTailModel(n, p, lam, support, log_tails)
+
+
+def _lc_tail(n: int, p: float, lam: float, x: float) -> float:
+    """``bernoulli_tail_model(n, p, lam).lc_tail(x)`` from the log-tails
+    at the three support points around ``x`` alone, with the same check
+    of their concavity; it holds no array of size ``n``."""
+    if math.isnan(x):
+        return math.nan
+    # the first support point at or above x, as np.searchsorted finds it
+    k = bisect.bisect_left(range(n + 1), x,
+                           key=lambda j: _support(n, p, lam, j))
+    if k == 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    lo = max(0, min(k - 1, n - 2))
+    ks = np.arange(lo, min(lo + 3, n + 1))
+    log_tails = np.array([_binom_log_tail(n, p, int(j)) for j in ks])
+    _check_log_concave(n, p, log_tails)
+    return math.exp(float(np.interp(x, _support(n, p, lam, ks), log_tails)))
 
 
 # --- conservative tests ---------------------------------------------------
@@ -344,12 +434,13 @@ def conservative_test(xs, rs, mode: str = "gaussian", *, p=None,
     optionally an exponent ``lam >= lambda_star(p)``, which is also the
     default); it verifies the certified bound ``x_i <= (1 - p)/p |r_i|``
     on the data and compares :func:`s_y` against ``2 e^3 / 9`` times the
-    least log-concave majorant of the exact Bernoulli-sum tail.
+    least log-concave majorant of the exact Bernoulli-sum tail, read
+    from a window of that tail around the statistic, at any ``n``.
     """
     xs, rs = _paired(xs, rs)
     n = int(xs.size)
     if mode == "gaussian":
-        stat = s_w(xs, rs)
+        stat = _statistic(xs, rs)
         raw = GAUSSIAN_CONSTANT * normal_tail(stat)
         return TestReport("gaussian", n, stat, min(1.0, raw),
                           GAUSSIAN_CONSTANT, {"raw_bound": raw})
@@ -376,9 +467,8 @@ def conservative_test(xs, rs, mode: str = "gaussian", *, p=None,
             raise AsymmetryViolated(
                 f"observed x/|r| ratio {worst!r} exceeds certified cap "
                 f"{ratio_cap!r}")
-    stat = s_y(xs, rs, lam)
-    model = bernoulli_tail_model(n, p, lam)
-    raw = BERNOULLI_CONSTANT * model.lc_tail(stat)
+    stat = _statistic(xs, rs, lam)
+    raw = BERNOULLI_CONSTANT * _lc_tail(n, p, lam, stat)
     return TestReport("bernoulli", n, stat, min(1.0, raw),
                       BERNOULLI_CONSTANT,
                       {"raw_bound": raw, "p": p, "lam": lam,

@@ -329,3 +329,29 @@ def test_memory_flat_in_resamples(rng):
 
     peak(100)  # first-call allocations outside the bootstrap
     assert peak(1600) <= 1.1 * peak(100)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 1e300]),
+                min_size=1, max_size=60),
+       st.sampled_from(["as drawn", "sorted", "reversed"]))
+@example([-0.0, 0.0, -0.0, 0.0], "as drawn")
+@example([0.0, -0.0, 1.0, -0.0], "reversed")
+def test_stable_order_matches_stable_argsort(xs, arrange):
+    arr = np.array(xs)
+    if arrange != "as drawn":
+        arr = np.sort(arr)[::-1 if arrange == "reversed" else 1].copy()
+    got = estimator._stable_order(arr)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(arr, kind="stable"))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.integers(-3, 4, 100_000).astype(float),
+    lambda rng: rng.normal(size=100_000),
+    lambda rng: np.where(rng.random(100_000) < 0.5, -0.0, 0.0),
+], ids=["heavy-ties", "distinct", "signed-zeros"])
+def test_stable_order_on_large_samples(rng, draw):
+    arr = draw(rng)
+    assert np.array_equal(estimator._stable_order(arr),
+                          np.argsort(arr, kind="stable"))

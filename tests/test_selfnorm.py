@@ -282,6 +282,97 @@ class TestLogConcaveMajorant:
         assert isinstance(exc.value, TwopointError)
 
 
+class TestLogTailWindow:
+    """The log-tail at one ``k``, summed over a window of the log-pmf,
+    against the whole table, which stays the oracle."""
+
+    @settings(max_examples=25)
+    @given(st.integers(1, 2000), st.floats(0.01, 0.99))
+    @example(320, 0.09375)
+    @example(730, 0.35124563909749795)
+    @example(2000, 0.5)
+    def test_matches_table(self, n, p):
+        want = selfnorm._binom_log_tails(n, p)
+        got = np.array([selfnorm._binom_log_tail(n, p, k)
+                        for k in range(n + 1)])
+        # bit-equal in practice; the window drops below 2^-64 of a sum
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("n, p", [(10_000_000, 0.15), (1000, 5e-324),
+                                      (1000, 1 - 1e-16), (50, 1e-5)])
+    def test_extreme_sizes_and_levels(self, n, p):
+        ks = sorted({0, 1, int(n * p), int(n * p) + 1, n // 2, n - 1, n})
+        got = [selfnorm._binom_log_tail(n, p, k) for k in ks]
+        assert got[0] == 0.0
+        assert all(math.isfinite(v) and v <= 0.0 for v in got)
+        assert all(a >= b for a, b in zip(got, got[1:]))
+        if n <= 1000:
+            want = selfnorm._binom_log_tails(n, p)[ks]
+            assert (np.abs(np.array(got) - want)
+                    <= 1e-13 * np.abs(want)).all()
+
+
+def bernoulli_raw_bound(monkeypatch, n, p, lam, x):
+    """``raw_bound`` of a Bernoulli-mode ``conservative_test`` on ``n``
+    observations whose statistic reads ``x``."""
+    monkeypatch.setattr(selfnorm, "_statistic", lambda xs, rs, lam=None: x)
+    zero = np.zeros(n)
+    return conservative_test(zero, zero, "bernoulli", p=p,
+                             lam=lam).details["raw_bound"]
+
+
+class TestWindowedTest:
+    @settings(max_examples=15)
+    @given(st.integers(1, 400), st.floats(0.01, 0.99), st.floats(0.0, 1.0))
+    @example(320, 0.09375, 0.0)
+    @example(730, 0.35124563909749795, 0.0)
+    @example(1, 0.3, 0.5)
+    def test_matches_model(self, n, p, frac):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lam = lambda_star(p) * (1.0 + 3.0 * frac)
+            model = bernoulli_tail_model(n, p, lam)
+            t = model.support
+            grid = np.concatenate([support_and_midpoints(t),
+                                   [t[0] - 1.0, t[-1] + 1.0]])
+            got = np.array([bernoulli_raw_bound(monkeypatch, n, p, lam, x)
+                            for x in grid])
+        want = BERNOULLI_CONSTANT * np.array([model.lc_tail(x)
+                                              for x in grid])
+        assert (np.abs(got - want) <= 1e-13 * want).all()
+
+    def test_cli_statistic_matches_model(self):
+        # the seed-201 statistic of the command-line benchmark input
+        n, p = 1_000_000, 0.15
+        lam = lambda_star(p)
+        model = bernoulli_tail_model(n, p, lam)
+        for x in (-8.53, 0.0, model.support[149682], 60.0):
+            assert selfnorm._lc_tail(n, p, lam, x) == model.lc_tail(x)
+
+    def test_rejects_convex_window(self, monkeypatch):
+        monkeypatch.setattr(selfnorm, "_binom_log_tail",
+                            lambda n, p, k: -math.sqrt(k))
+        xs = np.tile([1.0, -1.0], 5)
+        with pytest.raises(NotLogConcave):
+            conservative_test(xs, -xs, "bernoulli", p=0.5)
+
+    def test_past_the_table_cap(self):
+        # the test reads a window of the tail, so the table's size cap
+        # does not bound it
+        n = 2 * selfnorm.MAX_MODEL_SIZE
+        xs = np.random.default_rng(18).choice([-1.0, 1.0], n)
+        rep = conservative_test(xs, -xs, "bernoulli", p=0.5)
+        assert rep.n == n
+        assert 0.0 <= rep.p_value <= 1.0
+        assert rep.details["raw_bound"] >= rep.p_value
+
+    @pytest.mark.parametrize("mode, kw", [("gaussian", {}),
+                                          ("bernoulli", {"p": 0.3})])
+    def test_sample_checked_once(self, count_calls, mode, kw):
+        calls = count_calls(selfnorm, "_as_rows")
+        conservative_test([1.0, -1.0, 0.5], [-1.0, 1.0, -0.5], mode, **kw)
+        assert len(calls) == 1
+
+
 class TestConservativeTest:
     def test_gaussian_report(self):
         xs = [3.0, 1.0, 3.0, 1.0]
