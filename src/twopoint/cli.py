@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 import zlib
 from fractions import Fraction
 
@@ -95,11 +96,10 @@ def load_measure(path: str) -> ZeroMeanMeasure:
     return ZeroMeanMeasure.from_jsonable(_load_json(path))
 
 
-def load_samples(path: str) -> np.ndarray:
-    """One value per line (commas also accepted)."""
-    tokens = _read_text(path).replace(",", "\n").split()
-    if not tokens:
-        raise InputError("sample input is empty")
+def _parse_tokens(text: str) -> np.ndarray:
+    """Every whitespace-separated token of a nonblank ``text`` read by
+    ``float``; the first token it rejects is named in the error."""
+    tokens = text.split()
     try:
         return np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
@@ -109,6 +109,35 @@ def load_samples(path: str) -> np.ndarray:
             except ValueError:
                 raise InputError(f"not a number in sample input: {token!r}")
         raise
+
+
+def load_samples(path: str) -> np.ndarray:
+    """One value per line (commas also accepted).
+
+    The text is parsed in one C pass, which rounds as ``float`` does and
+    makes no token objects.  Text that pass cannot read to its end, or
+    that gives a non-finite entry (it reads ``nan(1)``, which ``float``
+    rejects), is read again token by token with ``float``, which decides
+    what is accepted."""
+    try:
+        text = _read_text(path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"could not decode sample input: {exc}")
+    text = text.replace(",", " ")
+    # numpy reads a blank text as [-1.0]
+    if not text or text.isspace():
+        raise InputError("sample input is empty")
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x only warns, and keeps what it read, where it
+            # cannot read the text to its end
+            warnings.simplefilter("error", DeprecationWarning)
+            xs = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return _parse_tokens(text)
+    if not np.isfinite(xs).all():
+        return _parse_tokens(text)
+    return xs
 
 
 def _parse_grid(spec: str):

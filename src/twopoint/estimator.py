@@ -102,19 +102,31 @@ def _check_kind(kind: str, lam) -> float:
     return lam
 
 
-def _stable_order(arr: np.ndarray) -> np.ndarray:
-    """``np.argsort(arr, kind="stable")`` without timsort: the default
-    sort, then each run of equal sorted values put back in index order
-    by sorting the unique key ``run * n + index``."""
+def _stable_sort(arr: np.ndarray) -> tuple:
+    """``order = np.argsort(arr, kind="stable")`` and ``arr[order]``
+    without timsort: the default sort, then, if any sorted values are
+    equal, each run of them put back in index order by sorting the
+    unique key ``run * n + index``."""
     order = np.argsort(arr)
     ordered = arr[order]
+    step = ordered[1:] != ordered[:-1]
+    if step.all():
+        # no ties, so every sort gives this order
+        return order, ordered
     run = np.zeros(arr.size, dtype=np.int64)
-    np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
+    np.cumsum(step, out=run[1:])
     run *= arr.size
     key = run + order
     key.sort()
     # the runs keep their places, so the key minus its run is the index
-    return key - run
+    order = key - run
+    # -0.0 and 0.0 tie, so a run's values may change places
+    return order, arr[order]
+
+
+def _stable_order(arr: np.ndarray) -> np.ndarray:
+    """``np.argsort(arr, kind="stable")`` without timsort."""
+    return _stable_sort(arr)[0]
 
 
 @dataclass(frozen=True)
@@ -131,8 +143,8 @@ def empirical_partners(xs) -> EmpiricalPartners:
     ones."""
     arr = _as_rows(xs)
     total = np.array([arr.sum()])
-    order = _stable_order(arr)
-    _, R = _sorted_partners(arr[order][None, :], total)
+    order, ordered = _stable_sort(arr)
+    _, R = _sorted_partners(ordered[None, :], total)
     partners = np.empty_like(arr)
     partners[order] = R[0]
     return EmpiricalPartners(arr - total[0] / arr.size, partners)

@@ -128,8 +128,14 @@ def _ratio(num, den):
 
 
 def _statistic(xs, rs, lam=None) -> float:
-    """``sum x`` over the :func:`_studentizer` of checked arrays."""
-    return float(_ratio(xs.sum(), _studentizer(xs, rs, lam)))
+    """``sum x`` over the :func:`_studentizer` of checked arrays.  An
+    infinite partner makes the studentizer infinite, also where its
+    observation is 0 and the product ``|x r|`` alone is nan."""
+    with np.errstate(invalid="ignore"):
+        den = _studentizer(xs, rs, lam)
+    if np.isnan(den) and np.isinf(rs).any() and not np.isnan(rs).any():
+        den = np.inf
+    return float(_ratio(xs.sum(), den))
 
 
 def s_w(xs, rs) -> float:
@@ -143,7 +149,12 @@ def s_w(xs, rs) -> float:
 
 def s_y(xs, rs, lam) -> float:
     """Product-normalized statistic
-    ``sum x / (sum |x r|^lam)^(1 / (2 lam))``."""
+    ``sum x / (sum |x r|^lam)^(1 / (2 lam))``.
+
+    An infinite partner drives the statistic to zero, also where its
+    observation is 0; an all-zero denominator with zero numerator is
+    read as zero.
+    """
     lam = float(lam)
     if not lam > 0:
         raise BadLambda(f"lambda must be positive, got {lam!r}")

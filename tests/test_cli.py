@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twopoint
 from twopoint import ZeroMeanMeasure, cli, decompose, ratio_moments
@@ -158,6 +160,102 @@ class TestTest:
             code, out, _ = run(capsys, ["test", "--input", str(src)])
         assert code == 0
         assert json.loads(out)["n"] == 3
+
+
+def token_load_samples(path):
+    """The token-by-token loader: every token read by ``float``."""
+    tokens = cli._read_text(path).replace(",", "\n").split()
+    if not tokens:
+        raise cli.InputError("sample input is empty")
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                raise cli.InputError(
+                    f"not a number in sample input: {token!r}")
+        raise
+
+
+def loaded(load, path):
+    """Float bits of what ``load`` reads, or its one-line error."""
+    try:
+        return load(path).view(np.int64).tolist()
+    except cli.InputError as exc:
+        return str(exc)
+
+
+SEPARATORS = [" ", "\t", "\r\n", "\n", "\x0b", "\x0c", "\x1c", "\xa0",
+              ",", ", ", ",,", " , ,", "\n\n"]
+ODD_TOKENS = ["inf", "-nan", "1_000", "nan(1)", "\u0661\u0662", "-0",
+              "nan(", "1e", "1-2", "0x10", "--1", "abc"]
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.builds(lambda x, p: f"%.{p}e" % x, st.floats(), st.integers(0, 20)),
+    st.sampled_from(ODD_TOKENS))
+SAMPLE_TEXTS = st.one_of(
+    st.builds(lambda head, pairs: head + "".join(t + sep for t, sep in pairs),
+              st.sampled_from(["", *SEPARATORS]),
+              st.lists(st.tuples(TOKENS, st.sampled_from(SEPARATORS)),
+                       min_size=1, max_size=8)),
+    # blank and comma-only texts
+    st.lists(st.sampled_from(SEPARATORS), max_size=6).map("".join))
+
+
+@settings(max_examples=400)
+@given(SAMPLE_TEXTS)
+@example("")
+@example("  \n")
+@example(",,\n, ,")
+@example("1 nan(1) 2")
+@example("1\r\n-0\t2.5e-3,\x0b\x0c4")
+@example("\u0661\u0662 1_000\xa03\x1c")
+def test_load_samples_matches_token_loader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential-xs.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert loaded(cli.load_samples, str(path)) == loaded(token_load_samples,
+                                                          str(path))
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \t\r\n ", ",", ",, ,\n,"])
+def test_blank_sample_input_is_empty(tmp_path, capsys, text):
+    src = tmp_path / "xs.txt"
+    src.write_text(text)
+    code, out, err = run(capsys, ["test", "--input", str(src)])
+    assert (code, out) == (1, "")
+    assert err == "error: InputError: sample input is empty\n"
+
+
+@pytest.mark.parametrize("argv", [["test"], ["estimate", "--seed", "1"]])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_invalid_utf8_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                        argv, source):
+    raw = b"1\n\xff\n-1\n"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(raw), "utf-8"))
+        path = "-"
+    else:
+        (tmp_path / "xs.txt").write_bytes(raw)
+        path = str(tmp_path / "xs.txt")
+    code, out, err = run(capsys, [*argv, "--input", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InputError: could not decode sample "
+                          "input: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+def test_invalid_utf8_measure_is_a_json_error(tmp_path, capsys):
+    src = tmp_path / "mu.json"
+    src.write_bytes(b'{"atoms": [[-1, 0.5], [1, 0.5]]}\xff')
+    code, out, err = run(capsys, ["disintegrate", "--input", str(src)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: InputError: could not parse {str(src)!r} "
+                          "as JSON: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_loads_no_scipy(tmp_path):

@@ -355,3 +355,20 @@ def test_stable_order_on_large_samples(rng, draw):
     arr = draw(rng)
     assert np.array_equal(estimator._stable_order(arr),
                           np.argsort(arr, kind="stable"))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0, 1e300]),
+                min_size=1, max_size=12))
+@example([3.0, -1.0, 1e300, -2.5])
+@example([0.0, 1.0, -0.0])
+# long enough that the default sort moves signed zeros within their run
+@example([1.0 if i % 7 == 0 else (-0.0 if i % 2 else 0.0)
+          for i in range(1000)])
+def test_stable_sort_gathers_the_sample(xs):
+    # with or without ties, the values are the sample gathered in the
+    # stable order, signed zeros included
+    arr = np.array(xs)
+    order, ordered = estimator._stable_sort(arr)
+    assert np.array_equal(order, np.argsort(arr, kind="stable"))
+    assert np.array_equal(ordered.view(np.int64), arr[order].view(np.int64))

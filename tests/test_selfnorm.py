@@ -117,6 +117,37 @@ class TestStatistics:
                 run(xs, rs)
 
 
+    @pytest.mark.parametrize("run", [
+        lambda xs, rs: s_w(xs, rs),
+        lambda xs, rs: s_y(xs, rs, 1.0),
+        lambda xs, rs: s_y(xs, rs, 2.5),
+        lambda xs, rs: conservative_test(xs, rs).statistic,
+        lambda xs, rs: conservative_test(xs, rs, "bernoulli",
+                                         p=0.5).statistic,
+    ], ids=["s_w", "s_y", "s_y-2.5", "gaussian", "bernoulli"])
+    def test_infinite_partner_of_zero(self, run):
+        # |0 * inf| alone is nan; the infinite partner makes the
+        # denominator infinite, so the statistic is 0
+        xs, rs = [0.0, 1.0, -1.0], [math.inf, -1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(xs, rs) == 0.0
+
+    def test_infinite_partner_of_zero_report(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = conservative_test([0.0, 1.0, -1.0], [math.inf, -1.0, 1.0],
+                                    "bernoulli", p=0.5)
+        assert math.isfinite(rep.details["raw_bound"])
+        assert rep.p_value == min(1.0, rep.details["raw_bound"])
+
+    def test_nan_partner_stays_nan(self):
+        # the infinite-partner rule does not reach a nan partner
+        xs = [0.0, 1.0, -1.0]
+        assert math.isnan(s_y(xs, [math.nan, math.inf, 1.0], 1.0))
+        assert math.isnan(s_w(xs, [math.nan, math.inf, 1.0]))
+
+
 class TestTails:
     def test_normal_tail(self):
         assert normal_tail(0.0) == pytest.approx(0.5)
