@@ -54,7 +54,9 @@ class SameSign(InputError):
 
 
 class Unbounded(InputError):
-    """The integrand is unbounded both above and below on the support."""
+    """The integrand is unbounded both above and below on the support, or
+    a sample's studentizing denominator is zero or past the float range,
+    so its normalized pivot is unbounded or vanishes."""
 
 
 class DimensionMismatch(InputError):
@@ -68,7 +70,7 @@ class LengthMismatch(InputError):
 
 
 class BadLambda(InputError):
-    """Exponent ``lambda`` must be positive."""
+    """Exponent ``lambda`` must be positive and finite."""
 
 
 class BadP(InputError):

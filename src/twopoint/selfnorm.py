@@ -13,8 +13,8 @@ The first admits a universal Gaussian tail comparison with constant
 variables with constant ``2 e^3 / 9``, taken through the least
 log-concave majorant of the exact Bernoulli tail.
 
-The one float-sample check lives here too; both statistic layers, these
-tests and the estimator, use it.
+The one float-sample check and the one exponent check live here too;
+both statistic layers, these tests and the estimator, use them.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def _as_rows(xs) -> np.ndarray:
         if not np.isfinite(arr.sum()):
             raise InputError("sample sum overflows the float range")
     return arr
+
+
+def _check_lambda(lam) -> float:
+    """The one exponent check: ``lam`` as a positive finite float."""
+    lam = float(lam)
+    if not 0 < lam < math.inf:
+        raise BadLambda(f"lambda must be positive and finite, got {lam!r}")
+    return lam
 
 
 def _paired(xs, rs):
@@ -155,9 +163,7 @@ def s_y(xs, rs, lam) -> float:
     observation is 0; an all-zero denominator with zero numerator is
     read as zero.
     """
-    lam = float(lam)
-    if not lam > 0:
-        raise BadLambda(f"lambda must be positive, got {lam!r}")
+    lam = _check_lambda(lam)
     return _statistic(*_paired(xs, rs), lam)
 
 
@@ -383,9 +389,7 @@ def bernoulli_tail_model(n: int, p, lam) -> BernoulliTailModel:
     p = float(p)
     if not 0 < p < 1:
         raise BadP(f"p must lie in (0, 1), got {p!r}")
-    lam = float(lam)
-    if not lam > 0:
-        raise BadLambda(f"lambda must be positive, got {lam!r}")
+    lam = _check_lambda(lam)
     log_tails = _binom_log_tails(n, p)
     _check_log_concave(n, p, log_tails)
     support = _support(n, p, lam, np.arange(n + 1))
@@ -462,9 +466,7 @@ def conservative_test(xs, rs, mode: str = "gaussian", *, p=None,
         raise BadP("bernoulli mode needs an asymmetry level p")
     p = float(p)
     crit = lambda_star(p)
-    if lam is None:
-        lam = crit
-    lam = float(lam)
+    lam = crit if lam is None else _check_lambda(lam)
     if lam < crit - 1e-12:
         raise LambdaTooSmall(
             f"lambda {lam!r} is below the critical exponent {crit!r} at p={p!r}")

@@ -458,6 +458,30 @@ class TestEstimate:
         assert out["denominator"] > 0
         assert out["ci"][0] <= out["mean"] <= out["ci"][1]
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["test", "--mode", "bernoulli", "--p", "0.5", "--lambda", "inf"],
+         "BadLambda"),
+        (["estimate", "--seed", "1", "--mode", "Y_lambda", "--lambda", "inf"],
+         "BadLambda"),
+        (["estimate", "--seed", "1", "--mode", "Y_lambda", "--lambda", "nan"],
+         "BadLambda"),
+        (["estimate", "--seed", "1", "--mode", "Y_lambda", "--lambda",
+          "1e-300"], "Unbounded"),
+    ], ids=["test-inf", "estimate-inf", "estimate-nan", "estimate-tiny"])
+    def test_unusable_lambda_is_one_error_line(self, tmp_path, argv, kind):
+        src = tmp_path / "xs.txt"
+        src.write_text("1 -2 3 0.5 -1.5 2 -3")
+        env = {"PYTHONPATH": str(Path(twopoint.__file__).parents[1]),
+               "PATH": ""}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "twopoint.cli", *argv,
+             "--input", str(src)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith(f"error: {kind}: ")
+
     def test_overflowing_resamples_print_one_line(self, tmp_path):
         src = tmp_path / "xs.txt"
         src.write_text("1.5e308, -1.5e308, 1")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from twopoint import (PivotRun, ZeroMeanMeasure, bootstrap_ci, denominator,
                       empirical_partners, estimator, pivot, selfnorm)
 from twopoint.errors import (BadLambda, BadLevel, ConstantSample,
-                             EmptySample, InputError, TooFewResamples)
+                             EmptySample, InputError, TooFewResamples,
+                             Unbounded)
 
 
 class TestPartners:
@@ -372,3 +374,185 @@ def test_stable_sort_gathers_the_sample(xs):
     order, ordered = estimator._stable_sort(arr)
     assert np.array_equal(order, np.argsort(arr, kind="stable"))
     assert np.array_equal(ordered.view(np.int64), arr[order].view(np.int64))
+
+
+# --- the full-width partner kernel, kept as the oracle --------------------
+
+def _covering(cum: np.ndarray, w: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Per entry, the index into the cumulative levels ``other`` of the
+    opposite side whose slice covers the midpoint of the entry's own
+    slice ``(cum - w, cum]``, kept within the opposite total."""
+    h = np.minimum(cum - 0.5 * w, other[:, -1:])
+    idx = np.empty(h.shape, dtype=np.intp)
+    for row in range(len(h)):
+        idx[row] = np.searchsorted(other[row], h[row])
+    # a row whose sum overflowed has nan levels, found past the end
+    return np.minimum(idx, h.shape[1] - 1)
+
+
+def full_width_sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
+    """The partner kernel before rows were paired on their own side
+    slices: every array spans the whole row, and the padding zeros of
+    each side are searched too."""
+    n = D.shape[1]
+    _, e = np.frexp(np.maximum(-D[:, 0], D[:, -1]))
+    scale = np.minimum(0, 1021 - e - 2 * n.bit_length())[:, None]
+    S = D - (total / n)[:, None]
+    L = np.ldexp(float(n), scale) * D - np.ldexp(total[:, None], scale)
+    pos = np.maximum(L, 0.0)
+    neg = np.maximum(-L, 0.0)[:, ::-1]  # outwards from zero
+    up, down = np.cumsum(pos, axis=1), np.cumsum(neg, axis=1)
+    from_neg = np.take_along_axis(S[:, ::-1], _covering(up, pos, down), 1)
+    from_pos = np.take_along_axis(S, _covering(down, neg, up), 1)[:, ::-1]
+    return S, np.where(L > 0, from_neg, np.where(L < 0, from_pos, 0.0))
+
+
+PARTNER_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, 1.0, -1.0, 3.0, -2.5, 5e-324,
+                     -5e-324, 2.2e-308, -1e-310]),
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0, allow_subnormal=True))
+
+
+@st.composite
+def sorted_sample_rows(draw):
+    """Row-sorted samples of one width: rows with ties and signed zeros;
+    constant rows, which round to one side or to none; constant rows
+    with some entries one ulp off, whose sides' totals differ by more
+    than half an outermost level, so the midpoints need their clip; and
+    rows scaled up to near the float maximum, whose lattice is scaled
+    down and whose sum may overflow."""
+    n = draw(st.integers(1, 30))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["mixed", "constant", "nudged", "huge"]))
+        if kind == "constant":
+            row = [draw(PARTNER_VALUES)] * n
+        elif kind == "nudged":
+            c = draw(st.sampled_from([0.1, 1 / 3, 1.1, -0.7, 2.2e-308]))
+            row = [np.nextafter(c, draw(st.sampled_from([-1.0, c, 2.0])))
+                   for _ in range(n)]
+        else:
+            row = draw(st.lists(PARTNER_VALUES, min_size=n, max_size=n))
+        top = max(abs(v) for v in row)
+        if kind == "huge" and top > 0:
+            reach = draw(st.sampled_from([1e300, 1e307, 1.7e308]))
+            row = [v / top * reach for v in row]
+        rows.append(row)
+    return np.sort(np.array(rows), axis=1)
+
+
+def assert_partners_match_full_width(D):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = D.sum(axis=1)
+        got = estimator._sorted_partners(D, total)
+        want = full_width_sorted_partners(D, total)
+        finite = np.isfinite(total)
+        # W and Y_lambda pivots of the rows whose sum overflowed
+        pivots = [repr([estimator._ratio(total, selfnorm._studentizer(
+            S, R, lam))[~finite].tolist() for lam in (None, 1.3)])
+            for S, R in (got, want)]
+    # the int64 views tell -0.0 from 0.0 and every last bit apart
+    for g, w in zip(got, want):
+        assert np.array_equal(g[finite].view(np.int64),
+                              w[finite].view(np.int64))
+    assert pivots[0] == pivots[1]
+
+
+@settings(max_examples=400)
+@given(sorted_sample_rows())
+@example(np.array([[0.1] * 6, [-1.0, 0.0, 0.0, 0.0, 0.0, 2.0]]))
+@example(np.array([[0.1] * 13, [-0.0, 0.0, 0.0, -0.0] + [1.0] * 9]))
+@example(np.sort(np.array([[0.1] * 9 + [0.1 + 2 ** -56],
+                           [-5e-324, 0.0, 5e-324, 1e-310] * 2 + [3.0] * 2])))
+# more weight above than below, and the mirror image
+@example(np.array([[1 / 3 - 2 ** -54] * 3 + [1 / 3 + 2 ** -54] * 5,
+                   [-1 / 3 - 2 ** -54] * 5 + [-1 / 3 + 2 ** -54] * 3]))
+@example(np.array([[-1.5e308, 1.0, 1.5e308], [-1.0, 1.5e308, 1.5e308],
+                   [-1.5e308, -1.5e308, 1.0]]))
+def test_side_slices_match_full_width_kernel(D):
+    """Pairing each row on its own side slices gives the full-width
+    kernel's values and partners bit for bit, and where a row's sum
+    overflows, the same pivots."""
+    assert_partners_match_full_width(D)
+
+
+@pytest.mark.parametrize("row, side", [
+    ([0.1] * 6, "positive"),
+    ([0.1] * 13, "negative"),
+    ([0.1] * 9 + [0.1 + 2 ** -56], "positive"),
+    ([0.1] * 3, "none"),
+    ([1.5e308, 1.5e308, -1.0], "negative"),
+    ([-1.5e308, -1.5e308, 1.0], "positive"),
+], ids=["six-tenths", "thirteen-tenths", "one-ulp-up", "three-tenths",
+        "sum-overflows-up", "sum-overflows-down"])
+def test_one_sided_rows(row, side):
+    """Rows whose lattice levels all fall on one side (by rounding, or
+    because the sum overflowed) pair each entry with the row's outermost
+    value on that side, as the full-width kernel does."""
+    # beside a row with both sides, in one chunk
+    D = np.sort(np.array([row, [-2.0] + [1.0] * (len(row) - 2) + [0.0]]),
+                axis=1)
+    n = D.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = D.sum(axis=1)
+        S, R = estimator._sorted_partners(D, total)
+        L = n * D[0] - total[0]
+    signs = {"positive": (L > 0).any() and not (L < 0).any(),
+             "negative": (L < 0).any() and not (L > 0).any(),
+             "none": not L.any()}
+    assert signs[side]
+    want = {"positive": S[0, -1], "negative": S[0, 0], "none": 0.0}[side]
+    np.testing.assert_array_equal(R[0], np.where(L != 0, want, 0.0))
+    assert_partners_match_full_width(D)
+
+
+class TestInfiniteLambda:
+    """An exponent must be finite: ``inf ** 0`` is 1, so an infinite one
+    would make every product denominator 1."""
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf, 0.0])
+    @pytest.mark.parametrize("run", [
+        lambda lam: selfnorm.s_y([1.0, -1.0], [-1.0, 1.0], lam),
+        lambda lam: selfnorm.bernoulli_tail_model(5, 0.3, lam),
+        lambda lam: selfnorm.conservative_test([1.0, -1.0], [-1.0, 1.0],
+                                               "bernoulli", p=0.5, lam=lam),
+        lambda lam: denominator([1.0, -1.0, 2.0], "Y_lambda", lam),
+        lambda lam: bootstrap_ci([1.0, -1.0, 2.0], kind="Y_lambda",
+                                 lam=lam, seed=1),
+    ], ids=["s_y", "tail_model", "bernoulli_test", "denominator",
+            "bootstrap_ci"])
+    def test_refused(self, run, lam):
+        with pytest.raises(BadLambda, match="positive and finite"):
+            run(lam)
+
+    @pytest.mark.parametrize("run", [
+        lambda: selfnorm.s_y([1.0, -1.0], [-1.0, 1.0], 2),
+        lambda: selfnorm.bernoulli_tail_model(5, 0.3, 2),
+        lambda: selfnorm.conservative_test([1.0, -1.0], [-1.0, 1.0],
+                                           "bernoulli", p=0.5, lam=2),
+        lambda: denominator([1.0, -1.0, 2.0], "Y_lambda", 2),
+    ], ids=["s_y", "tail_model", "bernoulli_test", "denominator"])
+    def test_one_check(self, count_calls, run):
+        calls = count_calls(selfnorm, "_check_lambda")
+        run()
+        assert len(calls) == 1
+
+    def test_width_kind_ignores_the_exponent(self):
+        assert denominator([1.0, -1.0, 2.0], "W", math.inf) == \
+            denominator([1.0, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("lam, den0", [(1e-300, math.inf), (1e300, 0.0)])
+def test_unusable_sample_denominator_is_one_error(lam, den0):
+    """A product denominator past the float range makes every pivot 0,
+    and one rounded to zero makes them infinite; either way the band
+    would invert to ``0 * inf``, so the run stops with one typed error
+    and no warning."""
+    xs = [1.0, -2.0, 3.0, 0.5, -1.5, 2.0, -3.0]
+    assert denominator(xs, "Y_lambda", lam) == den0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unbounded, match="denominator"):
+            bootstrap_ci(xs, kind="Y_lambda", lam=lam, resamples=100,
+                         seed=1)
