@@ -55,8 +55,8 @@ class SameSign(InputError):
 
 class Unbounded(InputError):
     """The integrand is unbounded both above and below on the support, or
-    a sample's studentizing denominator is zero or past the float range,
-    so its normalized pivot is unbounded or vanishes."""
+    a sample's studentizing denominator is past the float range, so its
+    normalized pivot vanishes."""
 
 
 class DimensionMismatch(InputError):

@@ -15,15 +15,15 @@ fixed byte size: memory stays flat in the number of resamples, and a
 chunk's arrays stay small enough for the cache.  Levels live on the
 lattice ``n x - sum(x)``, ``n`` times the recentred values, so on
 integer data a level that meets a cumulative level compares exactly.
-The recentred values and lattice levels of a chunk are computed for all
-its rows at once.  Then each row, on a lattice scaled by its own values
-alone, is paired on its own side slices: its negative entries, read
-outwards from zero, and its positive ones.  Each side's cumulative
-levels are summed over that side's entries only, one ``searchsorted``
-per side looks the partners up among the opposite side's entries, and
-they are gathered straight into the row.  That is about a dozen numpy
-calls per row, so on rows shorter than about 200 values the per-row
-work, not the arithmetic, sets the time.
+The recentred values, the lattice levels, each side's cumulative levels
+and their midpoints are computed for a whole chunk at once.  The sums of
+both sides share one array that rises along each row: the negative
+side's sums are negated, and the other side's entries add only zeros to
+a side's sums.  Then each row, on a lattice scaled by its own values
+alone, is paired on its own side slices: its negative entries and its
+positive ones.  One ``searchsorted`` per side looks the partners up
+among the opposite side's sums only, and they are gathered straight
+into the row, so a row costs four numpy calls on slices read in place.
 """
 
 from __future__ import annotations
@@ -78,22 +78,35 @@ def _sorted_partners(D: np.ndarray, total: np.ndarray) -> tuple:
     scale = np.minimum(0, 1021 - e - 2 * n.bit_length())[:, None]
     S = D - (total / n)[:, None]
     L = np.ldexp(float(n), scale) * D - np.ldexp(total[:, None], scale)
-    half = 0.5 * L
-    R = np.zeros_like(S)
     # the rows are sorted: entries [0, a) are negative, [b, n) positive
-    sides = zip(np.count_nonzero(L < 0, axis=1),
-                n - np.count_nonzero(L > 0, axis=1))
-    for row, (a, b) in enumerate(sides):
+    a_s = np.count_nonzero(L < 0, axis=1).tolist()
+    b_s = (n - np.count_nonzero(L > 0, axis=1)).tolist()
+    # each side's levels summed outwards from zero, in one array that
+    # rises along the row: the negative side's sums are negated, and
+    # the other side's entries add only zeros to a side's sums
+    cum = np.maximum(L, 0.0)
+    np.cumsum(cum, axis=1, out=cum)
+    down = np.negative(L)
+    np.maximum(down, 0.0, out=down)
+    np.cumsum(down[:, ::-1], axis=1, out=down[:, ::-1])
+    cum -= down
+    del down
+    # each entry's midpoint, negated on the positive side so that it
+    # lies among the negative side's sums
+    mid = np.multiply(L, 0.5, out=L)
+    mid -= cum
+    R = np.zeros_like(S)
+    for s, c, m, r, a, b in zip(S, cum, mid, R, a_s, b_s):
         if a == 0 or b == n:
-            R[row, :a], R[row, b:] = S[row, 0], S[row, -1]
+            r[:a], r[b:] = s[0], s[-1]
             continue
-        neg = slice(a - 1, None, -1)  # outwards from zero
-        # rounding is symmetric, so this is the sum of the negated levels
-        up, down = np.cumsum(L[row, b:]), -np.cumsum(L[row, neg])
-        above = np.minimum(up - half[row, b:], down[-1])
-        below = np.minimum(down + half[row, neg], up[-1])
-        np.take(S[row, neg], down.searchsorted(above), out=R[row, b:])
-        np.take(S[row, b:], up.searchsorted(below), out=R[row, neg])
+        # a negated sum at most a negated midpoint is a sum at least the
+        # midpoint.  Each search leaves out the opposite side's outermost
+        # sum, so a midpoint past the opposite total (by rounding) meets
+        # the outermost entry, as it would if kept at that total: the
+        # last, largest level of a side always raises its sum.
+        r[:a] = s[b:][c[b:-1].searchsorted(m[:a])]
+        r[b:] = s[:a][c[1:a].searchsorted(m[b:], "right")]
     return S, R
 
 
@@ -261,9 +274,8 @@ def bootstrap_ci(xs, *, level: float = 0.95, resamples: int = 2000,
                 sums - n * xbar, _den_rows(draws, sums, kind, lam))
     alpha = 1.0 - level
     q_lo, q_hi = _quantiles(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
-    # a band scaled by the sample's denominator would be nan: 0 * inf
-    if ((np.isinf(den0) and 0 in (q_lo, q_hi))
-            or (den0 == 0 and np.isinf([q_lo, q_hi]).any())):
+    # a band scaled by the sample's denominator would be nan: inf * 0
+    if np.isinf(den0) and 0 in (q_lo, q_hi):
         raise Unbounded(f"the sample's denominator {den0!r} cannot scale "
                         f"the pivot quantiles {float(q_lo)!r}, "
                         f"{float(q_hi)!r} into an interval")

@@ -108,23 +108,39 @@ def _studentizer(xs, rs, lam=None):
     overflows on finite entries, or underflows to zero on entries that
     are not all zero, it is recomputed on them scaled by an exact power
     of two and scaled back (to infinity only if the norm itself exceeds
-    the float range, to zero only if the norm itself rounds to zero)."""
+    the float range, to zero only if the norm itself rounds to zero).
+    On the scaled entries the products are divided by the largest one
+    before the power is taken, so one term stays 1 however large
+    ``lam`` is: the norm then tends to the root of the largest product,
+    where the plain form rounds every term to zero."""
     def norm(xs, rs):
         if lam is None:
             return 0.5 * np.sqrt(np.square(xs - rs).sum(axis=-1))
         return (np.abs(xs * rs) ** lam).sum(axis=-1) ** (1.0 / (2.0 * lam))
 
+    def rescaled_norm(xs, rs):
+        if lam is None:
+            return norm(xs, rs)
+        prod = np.abs(xs * rs)
+        top = prod.max(axis=-1, keepdims=True)
+        share = np.divide(prod, top, out=np.zeros_like(prod), where=top > 0)
+        return np.sqrt(top[..., 0]) * (share ** lam).sum(axis=-1) ** (
+            1.0 / (2.0 * lam))
+
     with np.errstate(over="ignore"):
         den = norm(xs, rs)
         redo = ~np.isfinite(den) | (den == 0)
-        if redo.any():
-            big = np.maximum(np.abs(xs), np.abs(rs)).max(axis=-1)
-            redo &= np.isfinite(big) & (big > 0)
-            e = np.frexp(np.where(redo, big, 1.0))[1]
-            scaled = norm(np.ldexp(xs, -e[..., None]),
-                          np.ldexp(rs, -e[..., None]))
-            den = np.where(redo, np.ldexp(scaled, e), den)
-    return den
+        if not redo.any():
+            return den
+        big = np.maximum(np.abs(xs), np.abs(rs)).max(axis=-1)
+        redo &= np.isfinite(big) & (big > 0)
+        e = np.frexp(np.where(redo, big, 1.0))[1]
+    # rows left as they were may hold inf or nan, and their rescaled
+    # norm, discarded, may be nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = rescaled_norm(np.ldexp(xs, -e[..., None]),
+                               np.ldexp(rs, -e[..., None]))
+        return np.where(redo, np.ldexp(scaled, e), den)
 
 
 def _ratio(num, den):
