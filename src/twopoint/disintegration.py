@@ -201,12 +201,11 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
         raise NotDiscrete("sample_pairs requires a discrete measure")
     idx = measure.sample_indices(n, rng)
     us = rng.random(int(n))
-    locs, _ = measure._float_tables
     lv = measure._float_levels
     # rounding may push a level past the top piece, never past another one
     row = np.minimum(np.searchsorted(lv.hi, lv.base[idx] + lv.jump[idx] * us),
                      len(lv.hi) - 1)
-    xs = locs[idx]
+    xs = lv.locs[idx]
     rs = np.where(xs > 0, lv.a[row], lv.b[row])
     rs[xs == 0] = 0.0
     return xs, rs, us
@@ -390,17 +389,18 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
                          f"pick one of {UNIFORMITY_KINDS}")
     n = int(n)
     us = rng.random(n)
+    lv = measure._float_levels
     if which == "G_tilde_Y":
         idx = tilt(measure, "Y").sample_indices(n, rng)
-        lv = measure._float_levels
-        # the tilt leaves out the atom at zero
-        off = np.array([l != 0 for l, _ in measure.atoms])
+        # the tilt leaves out the atom at zero, after the negative atoms (a
+        # float location can round to 0 where the exact one is not)
+        neg = len(measure._neg_locs)
+        off = np.r_[:neg, neg + bool(measure.prob_zero):len(lv.locs)]
         vals = ((lv.base[off][idx] + lv.jump[off][idx] * us)
                 / float(measure.m))
     else:
         idx = measure.sample_indices(n, rng)
-        slope = np.array([float(p) for _, p in measure.atoms])
-        vals = measure._float_levels.below[idx] + slope[idx] * us
+        vals = lv.below[idx] + lv.mass[idx] * us
     vals = np.sort(vals)
     grid = np.arange(1, n + 1) / n
     stat = float(np.maximum(grid - vals, vals - (grid - 1.0 / n)).max())

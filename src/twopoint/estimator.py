@@ -120,7 +120,7 @@ def _check_kind(kind: str, lam) -> float:
     if kind not in PIVOT_KINDS:
         raise InputError(f"unknown pivot kind {kind!r}; "
                          f"pick one of {PIVOT_KINDS}")
-    return _check_lambda(lam) if kind == "Y_lambda" else float(lam)
+    return _check_lambda(lam)
 
 
 def _stable_sort(arr: np.ndarray) -> tuple:

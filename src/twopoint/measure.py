@@ -172,9 +172,9 @@ class LevelTable(NamedTuple):
 
 #: float columns of a discrete measure for vectorized draws, each the float
 #: of the exact value (an int over ``D`` divides correctly rounded): per atom
-#: ``G`` just short of it, its jump and ``P(X < x)``, in atom order; per
-#: :class:`LevelTable` row ``hi``, ``a`` and ``b``
-FloatLevels = namedtuple("FloatLevels", "base jump below hi a b")
+#: its location, its mass, ``G`` just short of it, its jump and ``P(X < x)``,
+#: in atom order; per :class:`LevelTable` row ``hi``, ``a`` and ``b``
+FloatLevels = namedtuple("FloatLevels", "locs mass base jump below hi a b")
 
 
 def _bisect(below, lo, hi, tol, steps):
@@ -641,15 +641,13 @@ class ZeroMeanMeasure:
         return self._mass_below(h, -1, "h_minus")
 
     def _mass_below(self, h, sign, what):
-        """One side's levels up to ``h``, summed by pieces in cumulative
-        units and divided by ``D`` once (exactly, for a float ``h`` too)."""
+        """One side's levels up to ``h``, ``min(h, side total)``, taken in
+        cumulative units and divided by ``D`` once (exactly, for any h)."""
         h = _check_level(h)
         self._require_discrete(what)
         cum = self._pos_cum if sign > 0 else self._neg_cum
         key = Fraction(h) * self._unit if self._exact and h != INF else h
-        return self._frac(sum((min(c, key) - prev for prev, c
-                               in zip(cum, cum[1:]) if key > prev), cum[0]),
-                          self._unit)
+        return self._frac(min(key, cum[-1]), self._unit)
 
     # -- distribution queries ---------------------------------------------
 
@@ -698,18 +696,13 @@ class ZeroMeanMeasure:
     # -- sampling ----------------------------------------------------------
 
     @cached_property
-    def _float_tables(self):
-        """Float locations and normalized masses, for draws."""
-        locs = np.array([float(l) for l in self._locs])
-        probs = np.array([float(p) for p in self._masses])
-        return locs, probs / probs.sum()
-
-    @cached_property
     def _float_levels(self) -> FloatLevels:
         """The :class:`FloatLevels` of a discrete measure, built once."""
         table = self._level_table()
         steps = self._steps.values()  # in atom order
         return FloatLevels(
+            np.array([float(l) for l in self._locs]),
+            np.array([float(p) for p in self._masses]),
             np.array([c / self._unit for c, _ in steps]),
             np.array([c / self._unit for _, c in steps]),
             np.array([float(c) for c in self._cummass[:-1]]),
@@ -719,14 +712,13 @@ class ZeroMeanMeasure:
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` i.i.d. values (discrete only)."""
         idx = self.sample_indices(n, rng)
-        locs, _ = self._float_tables
-        return locs[idx]
+        return self._float_levels.locs[idx]
 
     def sample_indices(self, n: int, rng) -> np.ndarray:
         """Indices into :attr:`atoms` for ``n`` i.i.d. draws."""
         self._require_discrete("sample_indices")
-        _, probs = self._float_tables
-        return rng.choice(len(probs), size=int(n), p=probs)
+        mass = self._float_levels.mass
+        return rng.choice(len(mass), size=int(n), p=mass / mass.sum())
 
     # -- serialization -----------------------------------------------------
 

@@ -110,13 +110,16 @@ class AsymmetryPattern:
 # --- closed families ------------------------------------------------------
 
 def _powm1(y, p):
-    """``(1 + y)^p - 1`` to a few ulps relative.  With ``z = p log1p(y)``
-    it is ``expm1(z)`` where ``|z| < 1``, where the power would cancel,
-    and the power itself elsewhere: there ``e^z / |e^z - 1| < 1.6``, so
-    the power loses under a bit to cancellation, keeps exact powers exact
-    and does not amplify the rounding of ``z``."""
+    """``(1 + y)^p - 1`` to a few ulps relative, times ``|z|`` at worst:
+    ``expm1(z)``, ``z = p log1p(y)``, where ``|z| < 1`` or ``1 + y`` rounds
+    (the power would cancel, or scale that rounding by ``p``), else the
+    power, which loses under a bit there (``e^z / |e^z - 1| < 1.6``), keeps
+    exact powers exact and does not amplify the rounding of ``z``."""
     z = p * np.log1p(y)
-    return np.where(np.abs(z) < 1.0, np.expm1(z), np.power(1.0 + y, p) - 1.0)
+    # a sum is exact only if both differences give back the other term
+    exact = (1.0 + y - 1.0 == y) & (1.0 + y - y == 1.0)
+    return np.where((np.abs(z) < 1.0) | ~exact, np.expm1(z),
+                    np.power(1.0 + y, p) - 1.0)
 
 
 def power_family(p, c) -> ReciprocatingCurve:
@@ -405,11 +408,13 @@ def _probe_grid(curve: ReciprocatingCurve) -> np.ndarray:
 _CURVE_TOL = 1e-9
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
     """Probe ``r(0) = 0``, strict decrease, continuity, boundary
     constancy, and the involution on a 201-point grid; for a curve that
     is ``smooth_at_zero`` also the slope ``-1`` at zero via
-    Richardson-extrapolated central differences."""
+    Richardson-extrapolated central differences inside the curve's range.
+    A jump or slope that is not finite fails; such a slope reports None."""
     failures = []
     xs = _probe_grid(curve)
     rs = curve(xs)
@@ -437,9 +442,11 @@ def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
     x, d = xs[keep], d[keep]
     j1 = np.abs(curve(x + d) - curve(x - d))
     j2 = np.abs(curve(x + d / 64) - curve(x - d / 64))
-    jumps = np.flatnonzero((j1 > 1e-3 * scale) & (j2 > 0.5 * j1))[:1]
+    jumps = np.flatnonzero(~np.isfinite(j1)
+                           | ((j1 > 1e-3 * scale) & (j2 > 0.5 * j1)))[:1]
     failures += [f"jump of size {float(j1[i])!r} near x = {float(x[i])!r}"
-                 for i in jumps]
+                 if np.isfinite(j1[i]) else
+                 f"no finite jump near x = {float(x[i])!r}" for i in jumps]
 
     inner = ~near_end & (rs > lo) & (rs < hi)
     errs = np.abs(curve(rs[inner]) - xs[inner]) / (1.0 + np.abs(xs[inner]))
@@ -456,12 +463,17 @@ def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
 
     deriv = None
     if curve.smooth_at_zero:
-        span = min(1.0, (hi - lo) / 8 if math.isfinite(hi - lo) else 1.0)
+        # the probes stay a thousandth of the way to the nearer endpoint
+        span = min(1.0, (hi - lo) / 8, -lo, hi)
         h1, h2 = 1e-3 * span, 1e-4 * span
         d1 = (curve(h1) - curve(-h1)) / (2 * h1)
         d2 = (curve(h2) - curve(-h2)) / (2 * h2)
-        deriv = d2 + (d2 - d1) * h2 * h2 / (h1 * h1 - h2 * h2)
-        if abs(deriv - (-1.0)) > 1e-4:
+        # the weight is free of the span, whose square may underflow
+        deriv = d2 + (d2 - d1) * 1e-4 * 1e-4 / (1e-3 * 1e-3 - 1e-4 * 1e-4)
+        if not math.isfinite(deriv):
+            failures.append("slope at zero is not finite")
+            deriv = None
+        elif abs(deriv - (-1.0)) > 1e-4:
             failures.append(f"slope at zero is {deriv!r}, not -1")
 
     return CurveReport(not failures, tuple(failures), inv_err, deriv)

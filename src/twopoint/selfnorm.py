@@ -93,10 +93,13 @@ def _check_lambda(lam) -> float:
 
 
 def _paired(xs, rs):
+    """A checked sample and its partners: infinite ones pass, nan not."""
     xs = _as_rows(xs)
     rs = np.asarray(rs, dtype=float)
     if rs.shape != xs.shape:
         raise LengthMismatch(f"{xs.size} observations vs {rs.size} partners")
+    if np.isnan(rs).any():
+        raise InputError("partners contain nan")
     return xs, rs
 
 
@@ -157,7 +160,7 @@ def _statistic(xs, rs, lam=None) -> float:
     observation is 0 and the product ``|x r|`` alone is nan."""
     with np.errstate(invalid="ignore"):
         den = _studentizer(xs, rs, lam)
-    if np.isnan(den) and np.isinf(rs).any() and not np.isnan(rs).any():
+    if np.isnan(den) and np.isinf(rs).any():
         den = np.inf
     return float(_ratio(xs.sum(), den))
 
@@ -416,8 +419,6 @@ def _lc_tail(n: int, p: float, lam: float, x: float) -> float:
     """``bernoulli_tail_model(n, p, lam).lc_tail(x)`` from the log-tails
     at the three support points around ``x`` alone, with the same check
     of their concavity; it holds no array of size ``n``."""
-    if math.isnan(x):
-        return math.nan
     # the first support point at or above x, as np.searchsorted finds it
     k = bisect.bisect_left(range(n + 1), x,
                            key=lambda j: _support(n, p, lam, j))

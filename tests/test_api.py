@@ -1,6 +1,11 @@
-"""The names the package exports."""
+"""The names the package exports, and those the bench wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import twopoint
+from twopoint import ZeroMeanMeasure
 
 PUBLIC = set("""
     __version__ TwopointError InputError INF NEG_INF ZeroMeanMeasure
@@ -29,3 +34,18 @@ def test_exports_each_name_once():
     for name in twopoint.__all__:
         assert hasattr(twopoint, name), name
 
+
+
+def test_traced_names_resolve():
+    """Every function the bench's tracer wraps exists under its name, so
+    a rename breaks this test and not only a traced bench run."""
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.TRACED.items():
+        # measure names are members of the measure class
+        owner = ZeroMeanMeasure if layer == "measure" \
+            else importlib.import_module(f"twopoint.{layer}")
+        for name in names:
+            assert name in vars(owner), f"{layer}.{name}"

@@ -81,15 +81,25 @@ class TestVerify:
         assert code == 1
         assert "NonZeroMean" in err
 
-    @pytest.mark.parametrize("grid", ["0", "1"])
-    def test_grid_needs_two_levels(self, tmp_path, capsys, grid):
+    def test_level_grid_is_no_option(self, tmp_path, capsys):
         src = write_json(tmp_path / "mu.json", EXAMPLE)
-        code, out, err = run(capsys, ["verify", "--input", src,
-                                      "--grid", grid])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--input", src, "--grid", "5"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
+    def test_mean_residual_fails_the_level_identity(self, tmp_path, capsys):
+        # the positive total is 1/2 + 5e-10 against m = 1/2 + 2.5e-10
+        src = write_json(tmp_path / "mu.json",
+                         {"atoms": [[-1, "1/2"], ["1.000000001", "1/2"]]})
+        code, out, _ = run(capsys, ["verify", "--input", src])
         assert code == 1
-        assert out == ""
-        assert err.startswith("error: InputError: ")
-        assert len(err.splitlines()) == 1
+        assert out == (
+            '{\n  "checks": {\n    "h_identity": false,\n'
+            '    "mixture_modes": false,\n    "side_masses": false,\n'
+            '    "v_involution": true\n  },\n  "failed_count": 3,\n'
+            '  "m": "2000000001/4000000000",\n  "passed": false,\n'
+            '  "passed_count": 1\n}\n')
 
     @pytest.mark.parametrize("backend, code", [("discrete", 0),
                                                ("analytic", 1)])
@@ -344,6 +354,24 @@ class TestModel:
         assert err.startswith("error: InputError: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, codes", [
+        (["--family", "hyperbolic", "--alpha", "1", "--c", "1e-300"], (0, 1)),
+        (["--family", "power", "--p", "inf", "--c", "1e-300"], (0, 1)),
+        (["--family", "power", "--p", "1e-300", "--c", "1"], (0,)),
+    ], ids=["hyperbolic-tiny-scale", "power-inf-tiny-scale",
+            "power-tiny-exponent"])
+    def test_validate_at_extreme_scales(self, capsys, argv, codes):
+        # the slope probes stay inside the curve's range, and a slope or
+        # a jump that is not finite is a failure, not a nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["model", *argv, "--validate"])
+        assert code in codes
+        assert err == ""
+        assert "nan" not in out.lower()
+        report = json.loads(out)["report"]
+        assert report["passed"] is (code == 0)
+
     def test_validate_cubic_rate(self, capsys):
         code, out, _ = run(capsys, ["model", "--family", "cubic_rate",
                                     "--alpha", "0.5", "--c", "1",
@@ -467,7 +495,11 @@ class TestEstimate:
          "BadLambda"),
         (["estimate", "--seed", "1", "--mode", "Y_lambda", "--lambda",
           "1e-300"], "Unbounded"),
-    ], ids=["test-inf", "estimate-inf", "estimate-nan", "estimate-tiny"])
+        (["estimate", "--seed", "1", "--lambda", "nan"], "BadLambda"),
+        (["estimate", "--seed", "1", "--lambda", "0"], "BadLambda"),
+        (["estimate", "--seed", "1", "--lambda", "inf"], "BadLambda"),
+    ], ids=["test-inf", "estimate-inf", "estimate-nan", "estimate-tiny",
+            "width-nan", "width-zero", "width-inf"])
     def test_unusable_lambda_is_one_error_line(self, tmp_path, argv, kind):
         src = tmp_path / "xs.txt"
         src.write_text("1 -2 3 0.5 -1.5 2 -3")
@@ -500,10 +532,9 @@ class TestEstimate:
 @pytest.mark.parametrize("argv", [
     ["model", "--family", "power", "--p", "2", "--c", "1",
      f"--table=0:1:{10**15}"],
-    ["verify", "--input", "mu.json", "--grid", str(10**15)],
     ["estimate", "--input", "xs.txt", "--seed", "7",
      "--resamples", str(10**15)],
-], ids=["model-table", "verify-grid", "estimate-resamples"])
+], ids=["model-table", "estimate-resamples"])
 def test_memory_error_is_one_line(tmp_path, capsys, argv):
     # each array would pass any 64-bit address space, so numpy refuses it
     # before allocating anything, whatever the overcommit policy
@@ -616,11 +647,10 @@ BEYOND_FLOAT = '{"atoms": [[-1e400, 0.5], [1e400, 0.5]]}'
     (["disintegrate"], BEYOND_FLOAT),
     (["disintegrate"], '{"atoms": [[-1e400, 0.5], [1, 0.5]]}'),
     (["verify"], BEYOND_FLOAT),
-    (["verify", "--grid", "-1"], json.dumps(EXAMPLE)),
 ], ids=["huge-decimal", "huge-int", "huge-output", "malformed",
         "nan", "infinity", "inf-string", "huge-quoted-mass",
         "huge-quoted-entry", "huge-mass-sum", "beyond-float-atoms",
-        "beyond-float-mean", "beyond-float-verify", "negative-grid"])
+        "beyond-float-mean", "beyond-float-verify"])
 def test_no_traceback(tmp_path, capsys, argv, text):
     src = tmp_path / "mu.json"
     src.write_text(text if text is not None

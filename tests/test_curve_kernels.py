@@ -224,6 +224,17 @@ def test_power_members_match_mpmath_from_tiny_to_large(spec):
         assert abs(got - want) <= bound * abs(want), (x, got, float(want))
 
 
+@pytest.mark.parametrize("p", [1e-3, -1e-3, 1e-6, -1e-6, 1e-10, -1e-10,
+                               1e-14, 1e-300])
+def test_small_exponent_keeps_the_negative_side(p):
+    # 1 + p|x| rounds at a small exponent, and the power 1/p would raise
+    # that rounding to a relative error of about eps / p
+    curve = power_family(p, 1.0)
+    for x in (-64.0, -10.0, -2.0, -1.0):
+        want = _power_mpmath(p, 1.0, x)
+        assert abs(curve(x) - want) <= 1e-12 * abs(want), (x, float(want))
+
+
 @pytest.mark.parametrize("x", [1e16, 1e100, 1e300])
 def test_hyperbolic_end_members_stay_in_range(x):
     c = 1.3

@@ -446,3 +446,15 @@ def test_float_view_is_bit_identical(kind):
         stat = float(np.maximum(grid - vals, vals - (grid - 1 / 5000)).max())
         rep = uniformity_check(mu, which, 5000, rng=np.random.default_rng(12))
         assert rep.statistic == stat, which
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu, rng: uniformity_check(mu, "G_Y", 10, rng=rng),
+    lambda mu, rng: joint_disintegrate([], lambda *cols: 0.0, 10, rng),
+    lambda mu, rng: mixture_expect(mu, abs, "sideways"),
+    lambda mu, rng: tilt(mu, "Y_zero"),
+], ids=["unknown-uniformity-kind", "no-coordinates", "unknown-mixture-mode",
+        "unknown-tilt"])
+def test_input_checks(four_atom, rng, call):
+    with pytest.raises(InputError):
+        call(four_atom, rng)

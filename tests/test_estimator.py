@@ -526,8 +526,10 @@ class TestInfiniteLambda:
         lambda lam: denominator([1.0, -1.0, 2.0], "Y_lambda", lam),
         lambda lam: bootstrap_ci([1.0, -1.0, 2.0], kind="Y_lambda",
                                  lam=lam, seed=1),
+        # the width kind uses no exponent, but takes only a usable one
+        lambda lam: denominator([1.0, -1.0, 2.0], "W", lam),
     ], ids=["s_y", "tail_model", "bernoulli_test", "denominator",
-            "bootstrap_ci"])
+            "bootstrap_ci", "width_denominator"])
     def test_refused(self, run, lam):
         with pytest.raises(BadLambda, match="positive and finite"):
             run(lam)
@@ -543,10 +545,6 @@ class TestInfiniteLambda:
         calls = count_calls(selfnorm, "_check_lambda")
         run()
         assert len(calls) == 1
-
-    def test_width_kind_ignores_the_exponent(self):
-        assert denominator([1.0, -1.0, 2.0], "W", math.inf) == \
-            denominator([1.0, -1.0, 2.0])
 
 
 def test_unusable_sample_denominator_is_one_error():

@@ -1,5 +1,6 @@
 """The cumulative curve, its inverses, and the randomized pairing."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twopoint import INF, NEG_INF, ZeroMeanMeasure, measure
+from twopoint import INF, NEG_INF, ZeroMeanMeasure, cli, measure
 from twopoint.errors import (BadMass, DegenerateAtZero, EmptySample,
                              ConstantSample, InputError, NegativeH,
                              NonZeroMean, NotDiscrete)
@@ -134,6 +135,84 @@ class TestCurve:
     def test_nan_rejected(self, four_atom):
         with pytest.raises(InputError):
             four_atom.g(float("nan"))
+
+
+def piece_sum(mu, h, sign):
+    """``E[|X| 1{sign X > 0, g_tilde(X, U) <= h}]`` summed piece by piece
+    over one side's cumulative list: the sum that ``h_plus`` and
+    ``h_minus`` close to ``min(h, side total)``."""
+    cum = mu._pos_cum if sign > 0 else mu._neg_cum
+    key = F(h) * mu._unit if mu.is_exact and h != INF else h
+    total = sum((min(c, key) - prev for prev, c in zip(cum, cum[1:])
+                 if key > prev), cum[0])
+    return F(total, mu._unit) if mu.is_exact else total / mu._unit
+
+
+def grid_h_identity(mu, count=50):
+    """The level identity probed on ``count`` levels from 0 to ``2 m``
+    through :func:`piece_sum`, within ``1e-12 (1 + m)``."""
+    m = float(mu.m)
+    return all(abs(float(piece_sum(mu, h, sign)) - min(h, m))
+               <= 1e-12 * (1.0 + m)
+               for h in np.linspace(0.0, 2.0 * m, count) for sign in (1, -1))
+
+
+@st.composite
+def exact_measures(draw):
+    """An exact measure, recentred or left with a mean residual inside
+    the default tolerance."""
+    locs = draw(st.lists(st.fractions(-20, 20, max_denominator=12)
+                         .filter(bool), min_size=2, max_size=8, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(locs),
+                            max_size=len(locs)))
+    mu = ZeroMeanMeasure.from_atoms(
+        [(l, F(w, sum(weights))) for l, w in zip(locs, weights)],
+        recentre=True)
+    shift = draw(st.sampled_from([0, 1, -1])) * mu.m / 10 ** 10
+    return ZeroMeanMeasure.from_atoms((l + shift, p) for l, p in mu.atoms)
+
+
+class TestLevelIdentity:
+    @given(exact_measures(), st.fractions(0, 30, max_denominator=10 ** 6),
+           st.floats(0, 30))
+    def test_closed_form_is_the_piece_sum(self, mu, h_frac, h_float):
+        levels = [F(c, mu._unit) for c in (*mu._pos_cum, *mu._neg_cum)]
+        levels += [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        for h in [*levels, 0, mu.m, 2 * mu.m, INF, h_frac, h_float]:
+            assert mu.h_plus(h) == piece_sum(mu, h, 1), h
+            assert mu.h_minus(h) == piece_sum(mu, h, -1), h
+            assert type(mu.h_plus(h)) is F
+
+    def test_verify_matches_the_level_grid(self, tmp_path, capsys):
+        """``verify`` checks the identity at ``h = inf`` alone; on exact
+        measures it agrees with a 50-level grid, also where a mean
+        residual inside the tolerance makes the identity fail."""
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for _ in range(60):
+            k = int(rng.integers(2, 9))
+            locs = {F(int(n), int(d)) for n, d in
+                    zip(rng.integers(-40, 41, k), rng.integers(1, 13, k))}
+            locs = sorted(locs - {0})
+            weights = rng.integers(1, 10, len(locs)).tolist()
+            if len(locs) < 2:
+                locs, weights = [F(-1), F(1)], [1, 1]
+            mu = ZeroMeanMeasure.from_atoms(
+                [(l, F(w, sum(weights))) for l, w in zip(locs, weights)],
+                recentre=True)
+            # a relative mean residual from 1e-16 up to the tolerance 1e-9
+            shift = mu.m * F(int(rng.choice([-1, 1]))) / 10 ** int(
+                rng.integers(9, 17))
+            mu = ZeroMeanMeasure.from_atoms(
+                (l + shift, p) for l, p in mu.atoms)
+            src = tmp_path / "mu.json"
+            src.write_text(json.dumps(
+                {"atoms": [[str(l), str(p)] for l, p in mu.atoms]}))
+            cli.main(["verify", "--input", str(src)])
+            got = json.loads(capsys.readouterr().out)["checks"]
+            assert got["h_identity"] == grid_h_identity(mu), mu.atoms
+            seen.add(got["h_identity"])
+        assert seen == {True, False}
 
 
 class TestPairing:
@@ -357,3 +436,25 @@ class TestAnalytic:
         assert mu.prob_zero == first
         assert mu.mass_at(0) == first
         assert calls == []
+
+
+NAN_CURVE = ZeroMeanMeasure.analytic(lambda x: math.nan, 1, (-1, 1))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda mu: mu.reciprocate(1, 1.5), InputError),
+    (lambda mu: mu.f_tilde(1, F(-1, 2)), InputError),
+    (lambda mu: ZeroMeanMeasure.from_atoms([(-1, "1/2"), 1]), InputError),
+    (lambda mu: ZeroMeanMeasure.from_atoms([(-1, 0.5), (1, math.inf)]),
+     BadMass),
+    (lambda mu: ZeroMeanMeasure.analytic(abs, 0, (-1, 1)), InputError),
+    (lambda mu: ZeroMeanMeasure.analytic(abs, 1, (0.5, 1)), InputError),
+    (lambda mu: NAN_CURVE.g(0.5), InputError),
+    (lambda mu: ZeroMeanMeasure.from_jsonable({"backend": "discrete"}),
+     InputError),
+], ids=["u-above-one", "u-below-zero", "entry-not-a-pair", "infinite-mass",
+        "half-mean-zero", "support-one-sided", "curve-returns-nan",
+        "no-atoms-list"])
+def test_input_checks(four_atom, call, error):
+    with pytest.raises(error):
+        call(four_atom)

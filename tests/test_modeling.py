@@ -229,3 +229,22 @@ class TestInverseCharacterization:
     def test_violations(self, yp, ym, msg):
         with pytest.raises(CharacterizationFailed, match=msg):
             validate_x_pm(yp, ym, 1.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: power_family(math.nan, 1.0), InputError),
+    (lambda: two_slope_family(0.0), BadScale),
+    (lambda: two_slope_family(INF), BadScale),
+    (lambda: hyperbolic_family(0.5, 0.0), BadScale),
+    (lambda: cubic_rate_family(0.5, INF), BadScale),
+    (lambda: cubic_rate_family(1.5, 1.0), BadAlpha),
+    (lambda: family_from_spec({"family": "logistic"}), InputError),
+    (lambda: validate_x_pm(lambda h: 1.0, lambda h: -1.0, 0.0), InputError),
+    (lambda: validate_x_pm(lambda h: math.nan, lambda h: -1.0, 1.0),
+     CharacterizationFailed),
+], ids=["power-nan-exponent", "two-slope-zero-kappa", "two-slope-inf-kappa",
+        "hyperbolic-zero-scale", "cubic-rate-inf-scale", "cubic-rate-alpha",
+        "unknown-family", "half-mean-zero", "nan-candidate"])
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()

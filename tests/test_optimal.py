@@ -188,3 +188,21 @@ class TestComonotone:
             comonotone_extremality([1, 2], [1], ratio_pow(1))
         with pytest.raises(UnsupportedMarginals):
             comonotone_extremality([], [], ratio_pow(1))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda mu, alt: ratio_pow(1, "pos_over_pos"), InputError),
+    (lambda mu, alt: custom_cost(lambda a, b: a * b, "median"), InputError),
+    (lambda mu, alt: cost_from_spec({"p": 1}), InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "entropy"}), InputError),
+    (lambda mu, alt: alternative_disintegration(mu, [("1/2", -1)]),
+     InputError),
+    (lambda mu, alt: tilted_weights(
+        MixtureDecomposition(((F(1), two_point(0, 0)),))),
+     NotADisintegration),
+    (lambda mu, alt: tilted_weights(alt, 2 * mu.m), NotADisintegration),
+], ids=["bad-side", "bad-canonical-is", "no-kind", "unknown-kind",
+        "not-a-triple", "zero-half-mean", "half-mean-mismatch"])
+def test_input_checks(symmetric_four, alt, call, error):
+    with pytest.raises(error):
+        call(symmetric_four, alt)

@@ -141,11 +141,21 @@ class TestStatistics:
         assert math.isfinite(rep.details["raw_bound"])
         assert rep.p_value == min(1.0, rep.details["raw_bound"])
 
-    def test_nan_partner_stays_nan(self):
-        # the infinite-partner rule does not reach a nan partner
-        xs = [0.0, 1.0, -1.0]
-        assert math.isnan(s_y(xs, [math.nan, math.inf, 1.0], 1.0))
-        assert math.isnan(s_w(xs, [math.nan, math.inf, 1.0]))
+    @pytest.mark.parametrize("rs", [[-1.0, math.nan, -0.5],
+                                    [math.nan, 1.0, -0.5]],
+                             ids=["at-negative-x", "at-positive-x"])
+    @pytest.mark.parametrize("run", [
+        lambda xs, rs: s_w(xs, rs),
+        lambda xs, rs: s_y(xs, rs, 1.0),
+        lambda xs, rs: conservative_test(xs, rs, "gaussian"),
+        lambda xs, rs: conservative_test(xs, rs, "bernoulli", p=0.5),
+    ], ids=["s_w", "s_y", "gaussian", "bernoulli"])
+    def test_nan_partner_is_refused(self, run, rs):
+        # an infinite partner is a documented case; a nan one is no
+        # partner at all, and not an asymmetry either
+        with pytest.raises(InputError, match="nan") as exc:
+            run([1.0, -1.0, 0.5], rs)
+        assert exc.type is InputError
 
 
 class TestTails:
@@ -457,3 +467,12 @@ class TestCertificate:
                                       (-1.0, 1.0))
         with pytest.raises(NotDiscrete):
             asymmetry_certificate(mu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: s_w([[1.0, -1.0]], [[-1.0, 1.0]]),
+    lambda: conservative_test([[1.0, -1.0]], [[-1.0, 1.0]]),
+], ids=["two-dimensional-s_w", "two-dimensional-test"])
+def test_input_checks(call):
+    with pytest.raises(InputError, match="one-dimensional"):
+        call()
