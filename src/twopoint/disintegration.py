@@ -17,6 +17,7 @@ it without keeping it alive; every later route and moment reads them.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +53,7 @@ __all__ = [
 class TwoPointLaw:
     """Zero-mean law on two points ``a <= 0 <= b``.
 
-    ``p_a = b / (b - a)`` and ``p_b = -a / (b - a)``; when ``a b = 0``
+    ``p_a = b / (b - a)`` and ``p_b = -a / (b - a)``; when ``a`` or ``b`` is 0
     the law collapses to the point mass at zero.
     """
 
@@ -87,12 +88,11 @@ def two_point(a, b) -> TwoPointLaw:
     b = _query_number(b)
     if a > b:
         a, b = b, a
-    prod = a * b
-    if prod > 0:
+    if a > 0 or b < 0:
         raise SameSign(f"endpoints {_shown(a)}, {_shown(b)} lie on the same "
                        "side of zero")
     exact = isinstance(a, Fraction) and isinstance(b, Fraction)
-    if prod == 0:
+    if a == 0 or b == 0:
         zero = Fraction(0) if exact else 0.0
         one = Fraction(1) if exact else 1.0
         return TwoPointLaw(zero, zero, one, zero)
@@ -295,7 +295,10 @@ def component_ratio_moment(law: TwoPointLaw):
     """``E R / X`` for one two-point law: ``-1 + (a + b)^2 / (a b)``."""
     if law.is_degenerate:
         return -1
-    return -1 + (law.a + law.b) ** 2 / (law.a * law.b)
+    a, b = law.a, law.b
+    if abs(a * b) < sys.float_info.min:  # a b underflowed, in part or whole
+        return -1 + ((a + b) / a) * ((a + b) / b)
+    return -1 + (a + b) ** 2 / (a * b)
 
 
 def _balanced_sum(terms: list):
@@ -341,15 +344,14 @@ def tilt(measure: ZeroMeanMeasure, which: str = "Y") -> TiltedAtoms:
     (``Y_minus``); weights are normalized to sum to one exactly."""
     if which not in TILT_KINDS:
         raise InputError(f"unknown tilt {which!r}; pick one of {TILT_KINDS}")
-    if which == "Y":
-        pairs = [(l, abs(l) * p) for l, p in measure.atoms if l != 0]
-    elif which == "Y_plus":
-        pairs = [(l, l * p) for l, p in measure.atoms if l > 0]
-    else:
-        pairs = [(l, -l * p) for l, p in measure.atoms if l < 0]
-    total = sum(w for _, w in pairs)
+    measure._require_discrete("tilt")
+    keep = {"Y": lambda l: l != 0, "Y_plus": lambda l: l > 0,
+            "Y_minus": lambda l: l < 0}[which]
+    # the jumps |x| p of G, ints over D on an exact measure, in atom order
+    pairs = [(l, jump) for l, (_, jump) in measure._steps.items() if keep(l)]
+    total = sum(jump for _, jump in pairs)
     return TiltedAtoms(tuple(l for l, _ in pairs),
-                       tuple(w / total for _, w in pairs))
+                       tuple(measure._frac(jump, total) for _, jump in pairs))
 
 
 # --- uniformity diagnostics ----------------------------------------------
@@ -392,10 +394,8 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
     lv = measure._float_levels
     if which == "G_tilde_Y":
         idx = tilt(measure, "Y").sample_indices(n, rng)
-        # the tilt leaves out the atom at zero, after the negative atoms (a
-        # float location can round to 0 where the exact one is not)
-        neg = len(measure._neg_locs)
-        off = np.r_[:neg, neg + bool(measure.prob_zero):len(lv.locs)]
+        # the tilt leaves out the atom at zero, by its exact location
+        off = np.flatnonzero([l != 0 for l, _ in measure.atoms])
         vals = ((lv.base[off][idx] + lv.jump[off][idx] * us)
                 / float(measure.m))
     else:

@@ -258,6 +258,12 @@ class ZeroMeanMeasure:
         mean = sum(l * p for l, p in zip(locs, masses))
         if recentre and mean != 0:
             locs = [l - mean for l in locs]
+            if len(set(locs)) < len(locs):
+                # the shift rounded float locations together: merge them
+                merged = {}
+                for loc, mass in zip(locs, masses):
+                    merged[loc] = merged.get(loc, 0) + mass
+                locs, masses = list(merged), list(merged.values())
             mean = sum(l * p for l, p in zip(locs, masses))
 
         abs_mean = sum(abs(l) * p for l, p in zip(locs, masses))

@@ -533,18 +533,16 @@ def validate_x_pm(y_plus: Callable[[float], float],
     if not (vm < 0).all():
         raise CharacterizationFailed("negative inverse must be strictly "
                                      "negative on (0, m]")
+    if not (np.isfinite(vp[:-1]).all() and np.isfinite(vm[:-1]).all()):
+        raise CharacterizationFailed("inverses must be finite below m")
     slack = 1e-9 * (1.0 + np.abs(vp[np.isfinite(vp)]).max(initial=0.0))
     if not (np.diff(vp) >= -slack).all():
         raise CharacterizationFailed("positive inverse must be nondecreasing")
     slack_m = 1e-9 * (1.0 + np.abs(vm[np.isfinite(vm)]).max(initial=0.0))
     if not (np.diff(vm) <= slack_m).all():
         raise CharacterizationFailed("negative inverse must be nonincreasing")
-    if not math.isfinite(vp[-2]) or not math.isfinite(vm[-2]):
-        raise CharacterizationFailed("inverses must be finite below m")
     for f, v in ((yp, vp), (ym, vm)):
         for h, val in zip(hs[1:-1], v[1:-1]):
-            if not math.isfinite(val):
-                continue
             probe = f(h - 1e-7 * m)
             if abs(probe - val) > 1e-3 * (1.0 + abs(val)):
                 refined = f(h - 1e-9 * m)
@@ -605,15 +603,23 @@ def validate_x_pm(y_plus: Callable[[float], float],
 
 # --- serialization helpers ------------------------------------------------
 
-_FAMILIES = ("power", "hyperbolic", "cubic_rate", "two_slope")
+#: each family and the parameters its spec may give
+_FAMILIES = {"power": ("p", "c"), "hyperbolic": ("alpha", "c"),
+             "cubic_rate": ("alpha", "c"), "two_slope": ("kappa",)}
 
 
 def family_from_spec(obj: dict) -> ReciprocatingCurve:
     """Build a family member from its JSON description, e.g.
-    ``{"family": "power", "p": 2, "c": 1}``."""
-    if not isinstance(obj, dict) or obj.get("family") not in _FAMILIES:
-        raise InputError(f"curve spec must name a family in {_FAMILIES}")
-    kind = obj["family"]
+    ``{"family": "power", "p": 2, "c": 1}``; a key that is neither
+    ``family`` nor one of the family's parameters is refused."""
+    kind = obj.get("family") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise InputError(
+            f"curve spec must name a family in {tuple(_FAMILIES)}")
+    foreign = [k for k in obj if k != "family" and k not in _FAMILIES[kind]]
+    if foreign:
+        raise InputError(f"{kind} family takes only {_FAMILIES[kind]}, "
+                         f"got {_shown(foreign)}")
     if kind == "power":
         # a number or a numeric string; "inf" and "-inf" name the limits
         try:

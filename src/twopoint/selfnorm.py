@@ -468,9 +468,12 @@ def conservative_test(xs, rs, mode: str = "gaussian", *, p=None,
     on the data and compares :func:`s_y` against ``2 e^3 / 9`` times the
     least log-concave majorant of the exact Bernoulli-sum tail, read
     from a window of that tail around the statistic, at any ``n``.
+    A given ``p`` or ``lam`` is checked in either mode.
     """
     xs, rs = _paired(xs, rs)
     n = int(xs.size)
+    crit = None if p is None else lambda_star(p)
+    lam = None if lam is None else _check_lambda(lam)
     if mode == "gaussian":
         stat = _statistic(xs, rs)
         raw = GAUSSIAN_CONSTANT * normal_tail(stat)
@@ -482,8 +485,7 @@ def conservative_test(xs, rs, mode: str = "gaussian", *, p=None,
     if p is None:
         raise BadP("bernoulli mode needs an asymmetry level p")
     p = float(p)
-    crit = lambda_star(p)
-    lam = crit if lam is None else _check_lambda(lam)
+    lam = crit if lam is None else lam
     if lam < crit - 1e-12:
         raise LambdaTooSmall(
             f"lambda {lam!r} is below the critical exponent {crit!r} at p={p!r}")

@@ -1,7 +1,10 @@
-"""The names the package exports, and those the bench wraps."""
+"""The names the package exports, those the bench wraps, and the
+README's quick start."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import twopoint
@@ -49,3 +52,25 @@ def test_traced_names_resolve():
             else importlib.import_module(f"twopoint.{layer}")
         for name in names:
             assert name in vars(owner), f"{layer}.{name}"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """The README's python block, cut out as the CI step's awk does, runs
+    on its own and prints the first canonical component."""
+    root = Path(__file__).parents[1]
+    block, on = [], False
+    for line in (root / "README.md").read_text().splitlines():
+        if line == "```python":
+            on = True
+        elif line == "```":
+            on = False
+        elif on:
+            block.append(line)
+    script = tmp_path / "quickstart.py"
+    script.write_text("\n".join(block) + "\n")
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path,
+        env={"PYTHONPATH": str(root / "src"), "PATH": ""},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "3/5 -1 1" in done.stdout.splitlines()

@@ -337,18 +337,21 @@ class TestModel:
         assert len(data["table"]) == 3
 
     @pytest.mark.parametrize("extra", [
-        ["--p", "abc", "--c", "1"],
-        ["--c", "1"],
-        ["--p", "1", "--c", "1", "--table=-2:2:x"],
-        ["--p", "1", "--c", "1", "--table=-inf:2:3"],
-        ["--p", "1", "--c", "1", "--table=-1e308:1e308:3"],
+        ["power", "--p", "abc", "--c", "1"],
+        ["power", "--c", "1"],
+        ["power", "--p", "1", "--c", "1", "--table=-2:2:x"],
+        ["power", "--p", "1", "--c", "1", "--table=-inf:2:3"],
+        ["power", "--p", "1", "--c", "1", "--table=-1e308:1e308:3"],
+        ["power", "--p", "1", "--c", "1", "--table", "1:2"],
+        ["power", "--p", "2", "--alpha", "0.5"],
+        ["two_slope", "--kappa", "2", "--c", "1"],
     ], ids=["non-numeric-exponent", "missing-exponent", "bad-table-count",
-            "infinite-table-bound", "table-span-overflows"])
+            "infinite-table-bound", "table-span-overflows",
+            "table-without-count", "power-with-alpha", "two-slope-with-c"])
     def test_bad_input_is_one_error_line(self, capsys, extra):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, ["model", "--family", "power",
-                                          *extra])
+            code, out, err = run(capsys, ["model", "--family", *extra])
         assert code == 1
         assert out == ""
         assert err.startswith("error: InputError: ")
@@ -498,8 +501,14 @@ class TestEstimate:
         (["estimate", "--seed", "1", "--lambda", "nan"], "BadLambda"),
         (["estimate", "--seed", "1", "--lambda", "0"], "BadLambda"),
         (["estimate", "--seed", "1", "--lambda", "inf"], "BadLambda"),
+        (["test", "--lambda", "nan"], "BadLambda"),
+        (["test", "--lambda", "-1"], "BadLambda"),
+        (["test", "--p", "7"], "BadP"),
+        (["test", "--p", "nan"], "BadP"),
     ], ids=["test-inf", "estimate-inf", "estimate-nan", "estimate-tiny",
-            "width-nan", "width-zero", "width-inf"])
+            "width-nan", "width-zero", "width-inf", "gaussian-lambda-nan",
+            "gaussian-lambda-negative", "gaussian-p-above-one",
+            "gaussian-p-nan"])
     def test_unusable_lambda_is_one_error_line(self, tmp_path, argv, kind):
         src = tmp_path / "xs.txt"
         src.write_text("1 -2 3 0.5 -1.5 2 -3")

@@ -15,8 +15,8 @@ from twopoint import (MIXTURE_MODES, ZeroMeanMeasure,
                       alternative_disintegration, component_ratio_moment,
                       decompose, joint_disintegrate, mixture_expect,
                       norm_report, ratio_moments, sample_pairs,
-                      side_masses_from_levels, tilt, two_point,
-                      uniformity_check)
+                      side_masses_from_levels, tilt, TiltedAtoms,
+                      two_point, uniformity_check)
 from twopoint.errors import (DimensionMismatch, InputError, NotDiscrete,
                              SameSign)
 
@@ -42,6 +42,48 @@ class TestTwoPoint:
         law = two_point(0, 5)
         assert law.is_degenerate
         assert law.mean_positive_part == 0
+
+    def test_sides_at_any_scale(self):
+        # the product of the endpoints underflows to zero here
+        with pytest.raises(SameSign):
+            two_point(1e-200, 1e-200)
+        with pytest.raises(SameSign):
+            two_point(-5e-324, -1e-200)
+        law = two_point(1e-200, -1e-200)
+        assert (law.a, law.b) == (-1e-200, 1e-200)
+        assert law.p_a == law.p_b == 0.5
+        assert two_point(-5e-324, 0.0).is_degenerate
+
+
+def _scaled(scale):
+    return ZeroMeanMeasure.from_atoms(
+        [(-1 * scale, 0.25), (-3 * scale, 0.25), (2 * scale, 0.5)])
+
+
+@pytest.mark.parametrize("scale", [1e-170, 3e-162],
+                         ids=["product-underflows", "product-subnormal"])
+class TestTinyScale:
+    """Endpoints whose float products fall below the normal range give
+    the laws and moments of the unit-scale measure."""
+
+    def test_decomposition_reassembles(self, scale):
+        mu = _scaled(scale)
+        got = decompose(mu).reassembled_atoms()
+        assert sorted(got) == sorted(dict(mu.atoms))
+        for loc, mass in mu.atoms:
+            assert math.isclose(got[loc], mass, rel_tol=1e-12)
+
+    def test_mixture_routes_agree(self, scale):
+        mu = _scaled(scale)
+        want = mixture_expect(mu, abs, "direct")
+        for mode in MIXTURE_MODES:
+            assert math.isclose(mixture_expect(mu, abs, mode), want,
+                                rel_tol=1e-12)
+
+    def test_ratio_moment_is_scale_free(self, scale):
+        unit = ratio_moments(_scaled(1.0)).er_over_x
+        assert math.isclose(ratio_moments(_scaled(scale)).er_over_x, unit,
+                            rel_tol=1e-12)
 
 
 class TestDecompose:
@@ -305,6 +347,42 @@ def _left_to_right_er_over_x(mu):
 float_samples = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
     min_size=2, max_size=12).filter(lambda vs: len(set(vs)) > 1)
+
+
+def _per_atom_tilt(mu, which):
+    """``tilt`` as it multiplied each atom's location by its mass."""
+    if which == "Y":
+        pairs = [(l, abs(l) * p) for l, p in mu.atoms if l != 0]
+    elif which == "Y_plus":
+        pairs = [(l, l * p) for l, p in mu.atoms if l > 0]
+    else:
+        pairs = [(l, -l * p) for l, p in mu.atoms if l < 0]
+    total = sum(w for _, w in pairs)
+    return TiltedAtoms(tuple(l for l, _ in pairs),
+                       tuple(w / total for _, w in pairs))
+
+
+def _bits(values):
+    """Each value with its type, floats to the bit."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in values]
+
+
+@given(st.one_of(
+    small_exact_measures(),
+    integer_samples().map(
+        lambda vs: ZeroMeanMeasure.from_samples(vs + [-sum(vs), 0])),
+    float_samples.map(ZeroMeanMeasure.from_samples)), st.booleans())
+@settings(max_examples=100)
+def test_tilts_are_the_per_atom_products(mu, as_floats):
+    # atoms at zero, float atoms and float atoms near 1e-172 all occur
+    if as_floats:
+        mu = ZeroMeanMeasure.from_atoms(
+            [(float(l), float(p)) for l, p in mu.atoms])
+    for which in disintegration.TILT_KINDS:
+        got, want = tilt(mu, which), _per_atom_tilt(mu, which)
+        assert got.locations == want.locations
+        assert _bits(got.probs) == _bits(want.probs)
 
 
 class TestBuiltOncePerMeasure:

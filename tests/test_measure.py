@@ -68,6 +68,13 @@ class TestConstruction:
         assert dict(mu.atoms)[F(-2)] == F(1, 4)
         assert mu.m == F(3, 4)
 
+    def test_recentring_merges_what_it_rounds_together(self):
+        # 0 and 2^-52 both round to -7/3 once the mean 7/3 is subtracted
+        mu = ZeroMeanMeasure.from_samples([0.0, 7.0, 2.220446049250313e-16])
+        assert mu.atoms == ((-2.333333333333333, 0.6666666666666666),
+                            (4.666666666666667, 0.3333333333333333))
+        assert len(mu._float_levels.jump) == 2
+
     @pytest.mark.parametrize("n", [36_217, 100_000])
     def test_any_count_of_float_samples(self, n):
         # n copies of the float 1/n summed left to right miss 1 by up to
@@ -378,6 +385,23 @@ class TestAnalytic:
         assert abs(mu.reciprocate(r, 0.5) - 2.0) < 1e-5
         # levels above the reach of the positive side
         assert mu.x_plus(m * (1 + 1e-6)) == INF
+
+    def test_inverse_past_the_doubling_search(self):
+        # G reaches 1/2 only at |x| = 1e301, beyond the search's 1e300
+        mu = ZeroMeanMeasure.analytic(lambda x: abs(x) / (abs(x) + 1e301),
+                                      1.0, (NEG_INF, INF))
+        assert mu.x_plus(0.5) == INF
+        assert mu.x_minus(0.5) == NEG_INF
+        assert mu.x_plus(1e-300) == pytest.approx(10.0, rel=1e-9)
+
+    def test_level_past_a_short_endpoint(self):
+        # G ends at 0.4 at either end of the support, short of m = 0.5
+        mu = ZeroMeanMeasure.analytic(lambda x: 0.4 * x * x, 0.5,
+                                      (-1.0, 1.0))
+        assert mu.x_plus(0.45) == INF
+        assert mu.x_minus(0.45) == NEG_INF
+        # a shortfall within 1e-9 is read as round-off at the endpoint
+        assert mu.x_plus(0.4 + 1e-10) == pytest.approx(1.0, rel=1e-9)
 
     def test_symmetric_probe(self):
         mu = ZeroMeanMeasure.analytic(lambda x: x * x / 4.0, 0.25,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestPatterns:
         with pytest.raises(Lip1Violated):
             from_asymmetry_pattern(AsymmetryPattern(lambda w: w, -INF, INF))
 
+    def test_bounded_widths(self):
+        # a(w) = w / 5 pairs x in (0, 3) with -2x / 3, up to the width 5
+        cv = from_asymmetry_pattern(AsymmetryPattern(lambda w: w / 5,
+                                                     -2.0, 3.0))
+        assert cv(1.5) == pytest.approx(-1.0, rel=1e-12)
+        assert cv(-1.0) == pytest.approx(1.5, rel=1e-12)
+        ws = np.array([0.5, 2.5, 4.5])
+        assert asymmetry_pattern_of(cv).a(ws) == pytest.approx(ws / 5,
+                                                               abs=1e-9)
+
+    def test_lip1_rejected_on_bounded_widths(self):
+        with pytest.raises(Lip1Violated):
+            from_asymmetry_pattern(AsymmetryPattern(lambda w: w, -1.0, 1.0))
+
     def test_inconsistent_curve_rejected(self):
         cube = ReciprocatingCurve(-INF, INF, lambda x: -x ** 3, "cube", True)
         with pytest.raises(NotValidCurve):
@@ -220,15 +235,40 @@ class TestInverseCharacterization:
         assert mu.mass_at(0) == pytest.approx(0.5, abs=1e-9)
         assert mu.mass_at(3.0) == 0.0
 
+    def test_jump_between_the_left_probes(self):
+        # y_plus steps from 2 to 3 between the probes 1e-7 and 1e-9 left of
+        # the level 1/2, so the refined probe sees the value at 1/2
+        rep = validate_x_pm(lambda h: 2.0 if h <= 0.5 - 1e-8 else 3.0,
+                            lambda h: -4.0, 1.0)
+        assert rep.valid
+        assert rep.cdf(3.0) == rep.cdf(7.0) == 1.0
+
+    def test_cdf_cuts_a_sloped_negative_inverse(self):
+        rep = validate_x_pm(lambda h: 4.0, lambda h: -1.0 - 2.0 * h, 1.0)
+        # P(X <= -2) is the integral of 1 / (1 + 2 h) over (1/2, 1)
+        assert rep.cdf(-2.0) == pytest.approx(0.5 * math.log(1.5),
+                                              abs=1e-9)
+        assert rep.cdf(4.0) == 1.0
+
     @pytest.mark.parametrize("yp,ym,msg", [
         (lambda h: -1.0, lambda h: -3.0, "positive"),
         (lambda h: 3.0, lambda h: 2.0, "negative"),
         (lambda h: 3.0 - 2.0 * h, lambda h: -3.0, "nondecreasing"),
         (lambda h: 0.5, lambda h: -0.5, "mass integral"),
+        pytest.param(lambda h: 3.0, lambda h: -3.0 + h, "nonincreasing",
+                     id="negative-rises"),
+        pytest.param(lambda h: 3.0 if h < 0.9 else INF, lambda h: -3.0,
+                     "finite below m", id="positive-infinite-below-m"),
+        pytest.param(lambda h: 3.0, lambda h: -3.0 if h < 0.9 else -INF,
+                     "finite below m", id="negative-infinite-below-m"),
+        pytest.param(lambda h: 2.0 if h < 0.5 else 3.0, lambda h: -4.0,
+                     "left-continuity", id="jump-at-a-probe"),
     ])
     def test_violations(self, yp, ym, msg):
-        with pytest.raises(CharacterizationFailed, match=msg):
-            validate_x_pm(yp, ym, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CharacterizationFailed, match=msg):
+                validate_x_pm(yp, ym, 1.0)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -239,12 +279,15 @@ class TestInverseCharacterization:
     (lambda: cubic_rate_family(0.5, INF), BadScale),
     (lambda: cubic_rate_family(1.5, 1.0), BadAlpha),
     (lambda: family_from_spec({"family": "logistic"}), InputError),
+    (lambda: family_from_spec({"family": "power", "p": 2, "kappa": -5}),
+     InputError),
     (lambda: validate_x_pm(lambda h: 1.0, lambda h: -1.0, 0.0), InputError),
     (lambda: validate_x_pm(lambda h: math.nan, lambda h: -1.0, 1.0),
      CharacterizationFailed),
 ], ids=["power-nan-exponent", "two-slope-zero-kappa", "two-slope-inf-kappa",
         "hyperbolic-zero-scale", "cubic-rate-inf-scale", "cubic-rate-alpha",
-        "unknown-family", "half-mean-zero", "nan-candidate"])
+        "unknown-family", "power-with-kappa", "half-mean-zero",
+        "nan-candidate"])
 def test_input_checks(call, error):
     with pytest.raises(error):
         call()

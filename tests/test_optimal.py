@@ -71,6 +71,20 @@ class TestDisintegrations:
         data = alt.to_jsonable()
         assert len(data["components"]) == 3
 
+    def test_float_mass_mismatch(self):
+        mu = ZeroMeanMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
+        # the law on {-1, 2} puts 2/3 on -1, where the measure has 1/2
+        with pytest.raises(NotADisintegration, match="mass mismatch"):
+            alternative_disintegration(mu, [(1.0, -1.0, 2.0)])
+
+    def test_marginals_skip_the_point_mass_at_zero(self, four_atom):
+        alt = alternative_disintegration(
+            four_atom, [("3/5", -1, 1), ("3/10", -1, 2), ("1/10", 0, 0)])
+        assert any(law.is_degenerate for _, law in alt)
+        rep = marginal_check(four_atom, alt)
+        assert rep.passed
+        assert rep.discrepancy == 0.0
+
 
 class TestCostFunctions:
     def test_power_floor(self):
@@ -91,6 +105,9 @@ class TestCostFunctions:
         assert cost.label == "ratio_pow(2, neg_over_pos)"
         assert cost_from_spec({"kind": "indicator_ge",
                                "a": 1, "b": 2}).canonical_is == "max"
+        gap = cost_from_spec({"kind": "neg_abs_diff_pow", "p": 2})
+        assert (gap.label, gap.canonical_is) == ("neg_abs_diff_pow(2)", "max")
+        assert gap(3, 1) == -4
 
 
 class TestComparisons:
@@ -180,6 +197,14 @@ class TestComonotone:
         for cost in (neg_abs_diff_pow(1), abs_sum_pow(2), indicator_ge(3, 3),
                      ratio_pow(2, side="neg_over_pos")):
             assert comonotone_extremality(pos, neg, cost).passed, cost.label
+
+    def test_wrong_direction_fails(self):
+        # the gap cost is superadditive: sorted with sorted is its maximum
+        gap = neg_abs_diff_pow(2)
+        rep = comonotone_extremality([1, 2, 3], [1, 2, 4],
+                                     CostFunction(gap.fn, "min", "flipped"))
+        assert not rep.passed
+        assert rep.extreme_value < rep.comonotone_value
 
     def test_limits(self):
         with pytest.raises(UnsupportedMarginals):

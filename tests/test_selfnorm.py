@@ -468,6 +468,11 @@ class TestCertificate:
         with pytest.raises(NotDiscrete):
             asymmetry_certificate(mu)
 
+    def test_tiny_symmetric(self):
+        # the product of the endpoints underflows to zero
+        mu = ZeroMeanMeasure.from_atoms([(-1e-200, 0.5), (1e-200, 0.5)])
+        assert asymmetry_certificate(mu).gamma == 1.0
+
 
 @pytest.mark.parametrize("call", [
     lambda: s_w([[1.0, -1.0]], [[-1.0, 1.0]]),
