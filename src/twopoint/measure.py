@@ -177,6 +177,15 @@ class LevelTable(NamedTuple):
 FloatLevels = namedtuple("FloatLevels", "locs mass base jump below hi a b")
 
 
+def _merged(pairs):
+    """Sorted locations and their masses, equal locations summed."""
+    merged: dict = {}
+    for loc, mass in pairs:
+        merged[loc] = merged.get(loc, 0) + mass
+    locs = sorted(merged)
+    return locs, [merged[loc] for loc in locs]
+
+
 def _bisect(below, lo, hi, tol, steps):
     """``(lo, hi)`` after at most ``steps`` halvings that keep ``below``
     true at ``lo`` and false at ``hi``, stopping once ``hi - lo`` is at
@@ -247,23 +256,15 @@ class ZeroMeanMeasure:
         if abs(total - 1) > MASS_SUM_TOL:
             raise BadMass(f"masses sum to {_approx(total)}, expected 1")
 
-        merged: dict = {}
-        for loc, mass in pairs:
-            merged[loc] = merged.get(loc, 0) + mass
-        locs = sorted(merged)
-        masses = [merged[loc] for loc in locs]
+        locs, masses = _merged(pairs)
         if recentre and len(locs) == 1:
             raise ConstantSample("all atoms sit at one location")
 
         mean = sum(l * p for l, p in zip(locs, masses))
         if recentre and mean != 0:
             locs = [l - mean for l in locs]
-            if len(set(locs)) < len(locs):
-                # the shift rounded float locations together: merge them
-                merged = {}
-                for loc, mass in zip(locs, masses):
-                    merged[loc] = merged.get(loc, 0) + mass
-                locs, masses = list(merged), list(merged.values())
+            if len(set(locs)) < len(locs):  # it rounded floats together
+                locs, masses = _merged(zip(locs, masses))
             mean = sum(l * p for l, p in zip(locs, masses))
 
         abs_mean = sum(abs(l) * p for l, p in zip(locs, masses))
