@@ -91,11 +91,16 @@ def two_point(a, b) -> TwoPointLaw:
     if a > 0 or b < 0:
         raise SameSign(f"endpoints {_shown(a)}, {_shown(b)} lie on the same "
                        "side of zero")
-    exact = isinstance(a, Fraction) and isinstance(b, Fraction)
     if a == 0 or b == 0:
+        exact = isinstance(a, Fraction) and isinstance(b, Fraction)
         zero = Fraction(0) if exact else 0.0
         one = Fraction(1) if exact else 1.0
         return TwoPointLaw(zero, zero, one, zero)
+    return _law(a, b)
+
+
+def _law(a, b) -> TwoPointLaw:
+    """:func:`two_point` on parsed endpoints ``a < 0 < b``."""
     span = b - a
     return TwoPointLaw(a, b, b / span, -a / span)
 
@@ -140,8 +145,10 @@ def _build(measure: ZeroMeanMeasure) -> tuple:
     table = measure._level_table()  # NotDiscrete before any quadrature
     p0 = measure.prob_zero
     zero = measure._zero
-    rows = [(zero, 0, two_point(zero, 0), p0, None)] if p0 else []
-    rows += [(a, b, two_point(a, b), dh / -a if a_live else None,
+    point_mass = TwoPointLaw(zero, zero, measure._one, zero)
+    rows = [(zero, 0, point_mass, p0, None)] if p0 else []
+    # the table's endpoints are parsed already, with a < 0 < b
+    rows += [(a, b, _law(a, b), dh / -a if a_live else None,
               dh / b if b_live else None)
              for dh, _, a, b, a_live, b_live in zip(*table)]
     # x_minus never rises and x_plus never falls with the level, so rows
@@ -292,13 +299,20 @@ class RatioMoments:
 
 
 def component_ratio_moment(law: TwoPointLaw):
-    """``E R / X`` for one two-point law: ``-1 + (a + b)^2 / (a b)``."""
+    """``E R / X`` for one two-point law: ``-1 + (a + b)^2 / (a b)``,
+    factored as ``-1 + ((a + b) / a) ((a + b) / b)`` where a float ``a b``
+    leaves the normal range or ``(a + b)^2`` overflows."""
     if law.is_degenerate:
         return -1
     a, b = law.a, law.b
-    if abs(a * b) < sys.float_info.min:  # a b underflowed, in part or whole
-        return -1 + ((a + b) / a) * ((a + b) / b)
-    return -1 + (a + b) ** 2 / (a * b)
+    prod = a * b
+    if (not isinstance(prod, float)
+            or sys.float_info.min <= abs(prod) <= sys.float_info.max):
+        try:
+            return -1 + (a + b) ** 2 / prod
+        except OverflowError:  # a float (a + b)^2 past the float range
+            pass
+    return -1 + ((a + b) / a) * ((a + b) / b)
 
 
 def _balanced_sum(terms: list):

@@ -109,6 +109,8 @@ def _as_number(value):
     ints, Fractions and numeric strings (``"3/10"``, ``"0.3"``) become
     Fractions; floats stay floats at their binary face value.
     """
+    if type(value) is float:  # the common case, ahead of the ABC checks
+        return value
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -354,8 +356,6 @@ class ZeroMeanMeasure:
                              2 * self._unit)
         self._cummass = list(accumulate(self._masses, initial=self._zero))
 
-        self._table = None
-
     def _init_analytic(self, *, g, m, lo, hi):
         self._g_raw = g
         self._m = m
@@ -570,23 +570,35 @@ class ZeroMeanMeasure:
     # -- the canonical pairing ---------------------------------------------
 
     def _level_table(self) -> LevelTable:
-        """The :class:`LevelTable` of a discrete measure, built once from
-        the cumulative levels of both sides."""
+        """The :class:`LevelTable` of a discrete measure, built once."""
+        return self._level_columns[0]
+
+    @cached_property
+    def _level_columns(self) -> tuple:
+        """``(table, hi, a, b)``: the :class:`LevelTable`, built column by
+        column from the cumulative levels of both sides, and three of its
+        columns as arrays: ``hi`` in float64, or as Python ints on an exact
+        measure (those over ``D`` can pass int64), and the partners ``a``
+        and ``b`` as the atoms' own location objects."""
         self._require_discrete("the level table")
-        if self._table is None:
-            pos, neg = self._pos_cum, self._neg_cum
-            levels = sorted({*pos[1:], *neg[1:]})
-            # a spent side keeps its last atom
-            a_side, b_side = self._neg_locs, self._pos_locs
-            rows = []
-            for lo, hi in zip(pos[:1] + levels, levels):
-                i, j = bisect_left(pos, hi), bisect_left(neg, hi)
-                rows.append((self._frac(hi - lo, self._unit), hi,
-                             a_side[min(j, len(a_side)) - 1],
-                             b_side[min(i, len(b_side)) - 1],
-                             j < len(neg), i < len(pos)))
-            self._table = LevelTable(*zip(*rows))
-        return self._table
+        kind = object if self._exact else float
+        pos = np.array(self._pos_cum, dtype=kind)
+        neg = np.array(self._neg_cum, dtype=kind)
+        hi = np.sort(np.concatenate((pos[1:], neg[1:])))
+        hi = hi[np.append(True, hi[1:] != hi[:-1])]  # np.unique imports np.ma
+        i, j = np.searchsorted(pos, hi), np.searchsorted(neg, hi)
+        # a spent side keeps its last atom
+        a_at = np.minimum(j, len(neg) - 1) - 1
+        b_at = np.minimum(i, len(pos) - 1) - 1
+        a = np.array(self._neg_locs, dtype=object)[a_at]
+        b = np.array(self._pos_locs, dtype=object)[b_at]
+        dh = np.diff(hi, prepend=pos[:1]).tolist()
+        if self._exact:
+            dh = [Fraction(d, self._unit) for d in dh]
+        table = LevelTable(tuple(dh), *(
+            tuple(column.tolist())
+            for column in (hi, a, b, j < len(neg), i < len(pos))))
+        return table, hi, a, b
 
     def u_segments(self, x):
         """Partition of ``u`` in ``(0, 1]`` into the pieces of the level
@@ -705,7 +717,7 @@ class ZeroMeanMeasure:
     @cached_property
     def _float_levels(self) -> FloatLevels:
         """The :class:`FloatLevels` of a discrete measure, built once."""
-        table = self._level_table()
+        _, hi, a, b = self._level_columns
         steps = self._steps.values()  # in atom order
         return FloatLevels(
             np.array([float(l) for l in self._locs]),
@@ -713,8 +725,7 @@ class ZeroMeanMeasure:
             np.array([c / self._unit for c, _ in steps]),
             np.array([c / self._unit for _, c in steps]),
             np.array([float(c) for c in self._cummass[:-1]]),
-            np.array([h / self._unit for h in table.hi]),
-            np.array(table.a, dtype=float), np.array(table.b, dtype=float))
+            (hi / self._unit).astype(float), a.astype(float), b.astype(float))
 
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` i.i.d. values (discrete only)."""

@@ -414,7 +414,9 @@ def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
     constancy, and the involution on a 201-point grid; for a curve that
     is ``smooth_at_zero`` also the slope ``-1`` at zero via
     Richardson-extrapolated central differences inside the curve's range.
-    A jump or slope that is not finite fails; such a slope reports None."""
+    A jump or slope that is not finite fails, and so does a smooth curve
+    with an endpoint at zero, where no slope can be probed; such a slope
+    reports None."""
     failures = []
     xs = _probe_grid(curve)
     rs = curve(xs)
@@ -462,9 +464,11 @@ def validate_curve(curve: ReciprocatingCurve) -> CurveReport:
                 failures.append(f"not constant beyond endpoint {bound!r}")
 
     deriv = None
-    if curve.smooth_at_zero:
-        # the probes stay a thousandth of the way to the nearer endpoint
-        span = min(1.0, (hi - lo) / 8, -lo, hi)
+    # the probes stay a thousandth of the way to the nearer endpoint
+    span = min(1.0, (hi - lo) / 8, -lo, hi)
+    if curve.smooth_at_zero and not span > 0:  # an endpoint sits at zero
+        failures.append("no room to probe the slope at zero")
+    elif curve.smooth_at_zero:
         h1, h2 = 1e-3 * span, 1e-4 * span
         d1 = (curve(h1) - curve(-h1)) / (2 * h1)
         d2 = (curve(h2) - curve(-h2)) / (2 * h2)

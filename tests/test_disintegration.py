@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +20,7 @@ from twopoint import (MIXTURE_MODES, ZeroMeanMeasure,
                       two_point, uniformity_check)
 from twopoint.errors import (DimensionMismatch, InputError, NotDiscrete,
                              SameSign)
+from twopoint.measure import LevelTable
 
 
 class TestTwoPoint:
@@ -84,6 +86,33 @@ class TestTinyScale:
         unit = ratio_moments(_scaled(1.0)).er_over_x
         assert math.isclose(ratio_moments(_scaled(scale)).er_over_x, unit,
                             rel_tol=1e-12)
+
+
+class TestHugeScale:
+    """Float endpoints whose product or squared sum passes the float
+    maximum give the moment of the unit-scale law; the plain form keeps
+    its bits wherever it is finite."""
+
+    def test_ratio_moment_is_scale_free(self):
+        # (a + b)^2 overflows, and so does a b
+        unit = ratio_moments(_scaled(1.0)).er_over_x
+        assert math.isclose(ratio_moments(_scaled(1e200)).er_over_x, unit,
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("a, b, want", [
+        (-1e-10, 1e200, -1e210),  # only the square overflows
+        (-1.2e154, 2e154, -1 - 0.8 ** 2 / 2.4),  # only a b overflows
+    ], ids=["square", "product"])
+    def test_one_part_overflows(self, a, b, want):
+        assert math.isclose(component_ratio_moment(two_point(a, b)), want,
+                            rel_tol=1e-12)
+
+    # at these magnitudes a b stays normal and (a + b)^2 finite
+    @given(st.floats(-1e153, -1e-153), st.floats(1e-153, 1e153))
+    @settings(max_examples=200)
+    def test_plain_form_keeps_its_bits(self, a, b):
+        want = -1 + (a + b) ** 2 / (a * b)
+        assert component_ratio_moment(two_point(a, b)).hex() == want.hex()
 
 
 class TestDecompose:
@@ -385,6 +414,66 @@ def test_tilts_are_the_per_atom_products(mu, as_floats):
         assert _bits(got.probs) == _bits(want.probs)
 
 
+def _row_by_row_table(mu):
+    """The level table as it was built one row at a time, one ``bisect``
+    per side and row."""
+    pos, neg = mu._pos_cum, mu._neg_cum
+    levels = sorted({*pos[1:], *neg[1:]})
+    a_side, b_side = mu._neg_locs, mu._pos_locs
+    rows = []
+    for lo, hi in zip(pos[:1] + levels, levels):
+        i, j = bisect_left(pos, hi), bisect_left(neg, hi)
+        rows.append((mu._frac(hi - lo, mu._unit), hi,
+                     a_side[min(j, len(a_side)) - 1],
+                     b_side[min(i, len(b_side)) - 1],
+                     j < len(neg), i < len(pos)))
+    return LevelTable(*zip(*rows))
+
+
+def _with_zero(vals, scale=1):
+    """The integer sample ``vals`` scaled, plus the atom that centres it
+    and an atom at zero."""
+    return ZeroMeanMeasure.from_samples(
+        [v * scale for v in vals + [-sum(vals), 0]])
+
+
+def _spent_side(vals, sign):
+    """A mean inside the default tolerance: one side is spent on the top
+    rows."""
+    centred = _with_zero(vals)
+    shift = sign * centred.m / 10 ** 10
+    return ZeroMeanMeasure.from_atoms(
+        (l + shift, p) for l, p in centred.atoms)
+
+
+def _as_floats(mu, scale):
+    return ZeroMeanMeasure.from_atoms(
+        [(float(l) * scale, float(p)) for l, p in mu.atoms])
+
+
+table_measures = st.one_of(
+    # exact; at 10^25 the ints over D pass int64
+    st.builds(_with_zero, integer_samples(), st.sampled_from([1, 10 ** 25])),
+    st.builds(_spent_side, integer_samples(), st.sampled_from([-1, 1])),
+    st.builds(_as_floats, st.builds(_with_zero, integer_samples()),
+              st.sampled_from([1.0, 1e-170])),
+    float_samples.map(ZeroMeanMeasure.from_samples))
+
+
+@given(table_measures)
+@settings(max_examples=150)
+def test_columnwise_table_is_the_row_loop(mu):
+    got, want = mu._level_table(), _row_by_row_table(mu)
+    for column in LevelTable._fields:
+        assert _bits(getattr(got, column)) == _bits(getattr(want, column))
+    # the float view divides the same ints over D and rounds the same atoms
+    lv = mu._float_levels
+    assert lv.hi.tobytes() == np.array(
+        [h / mu._unit for h in want.hi]).tobytes()
+    assert lv.a.tobytes() == np.array(want.a, dtype=float).tobytes()
+    assert lv.b.tobytes() == np.array(want.b, dtype=float).tobytes()
+
+
 class TestBuiltOncePerMeasure:
     def test_one_law_per_row(self, monkeypatch):
         values = np.random.default_rng(5).integers(-40, 41, 400).tolist()
@@ -393,12 +482,14 @@ class TestBuiltOncePerMeasure:
         assert mu.prob_zero
         rows = len(mu._level_table().hi)
         calls = []
+        law = disintegration._law
 
         def counting(a, b):
             calls.append((a, b))
-            return two_point(a, b)
+            return law(a, b)
 
-        monkeypatch.setattr(disintegration, "two_point", counting)
+        # every row's law comes from the unchecked kernel
+        monkeypatch.setattr(disintegration, "_law", counting)
         dec = decompose(mu)
         ratio_moments(mu)
         for mode in MIXTURE_MODES:

@@ -271,6 +271,10 @@ class TestPairing:
             assert lo == 1
 
 
+class _Float(float):
+    """A float subclass, which the parser turns into a plain float."""
+
+
 class TestChecksOnce:
     """Each public map parses and range-checks each argument once; the
     nested steps take the numbers as checked."""
@@ -304,6 +308,23 @@ class TestChecksOnce:
         calls = count_calls(measure, "_as_number")
         ZeroMeanMeasure.from_samples(xs)
         assert len(calls) == 2 * len(set(xs.tolist()))
+
+    @pytest.mark.parametrize("value", [
+        0.1, -0.0, math.inf, -math.inf, math.nan, np.float64(0.1),
+        np.float32(0.1), _Float(0.1), True, np.bool_(False)],
+        ids=["float", "negative-zero", "inf", "minus-inf", "nan", "float64",
+             "float32", "float-subclass", "bool", "numpy-bool"])
+    def test_floats_keep_their_face_value(self, value):
+        # a plain float returns as it came, ahead of the other checks;
+        # any other float type turns into a plain float of the same bits
+        if isinstance(value, (bool, np.bool_)):
+            with pytest.raises(InputError):
+                measure._as_number(value)
+            return
+        got = measure._as_number(value)
+        assert type(got) is float
+        assert got.hex() == float(value).hex()
+        assert got is value or type(value) is not float
 
 
 class TestDistribution:

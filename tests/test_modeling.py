@@ -146,6 +146,16 @@ class TestValidateCurve:
         assert not rep.passed
         assert any("decreasing" in f or "zero" in f for f in rep.failures)
 
+    @pytest.mark.parametrize("lo, hi, core", [
+        (0.0, 1.0, lambda x: 1.0 - x), (-1.0, 0.0, lambda x: -1.0 - x)],
+        ids=["left-end-at-zero", "right-end-at-zero"])
+    def test_endpoint_at_zero_reported(self, lo, hi, core):
+        # no slope probe fits between zero and the endpoint there
+        rep = validate_curve(ReciprocatingCurve(lo, hi, core))
+        assert not rep.passed
+        assert "no room to probe the slope at zero" in rep.failures
+        assert rep.derivative_at_zero is None
+
     def test_non_involution_rejected(self):
         cube = ReciprocatingCurve(-INF, INF, lambda x: -x ** 3, "cube", False)
         rep = validate_curve(cube)
