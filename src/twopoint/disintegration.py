@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, NotDiscrete, SameSign
-from .measure import ZeroMeanMeasure, _query_number, _shown
+from .measure import (ZeroMeanMeasure, _choice, _draw_count, _query_number,
+                      _ranks, _shown)
 
 __all__ = [
     "TwoPointLaw",
@@ -207,10 +208,10 @@ def sample_pairs(measure: ZeroMeanMeasure, n: int, rng):
     if measure.backend != "discrete":
         raise NotDiscrete("sample_pairs requires a discrete measure")
     idx = measure.sample_indices(n, rng)
-    us = rng.random(int(n))
+    us = rng.random(len(idx))
     lv = measure._float_levels
     # rounding may push a level past the top piece, never past another one
-    row = np.minimum(np.searchsorted(lv.hi, lv.base[idx] + lv.jump[idx] * us),
+    row = np.minimum(_ranks(lv.hi, lv.base[idx] + lv.jump[idx] * us, "left"),
                      len(lv.hi) - 1)
     xs = lv.locs[idx]
     rs = np.where(xs > 0, lv.a[row], lv.b[row])
@@ -345,8 +346,9 @@ class TiltedAtoms:
     probs: tuple
 
     def sample_indices(self, n: int, rng) -> np.ndarray:
-        probs = np.array([float(p) for p in self.probs])
-        return rng.choice(len(probs), size=int(n), p=probs / probs.sum())
+        """Indices into :attr:`locations` for ``n`` i.i.d. draws, as
+        ``rng.choice`` would draw them from the float probabilities."""
+        return _choice(np.array(self.probs, dtype=float), n, rng)
 
 
 TILT_KINDS = ("Y", "Y_plus", "Y_minus")
@@ -403,7 +405,7 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
     if which not in UNIFORMITY_KINDS:
         raise InputError(f"unknown check {which!r}; "
                          f"pick one of {UNIFORMITY_KINDS}")
-    n = int(n)
+    n = _draw_count(n, least=1)
     us = rng.random(n)
     lv = measure._float_levels
     if which == "G_tilde_Y":
@@ -436,7 +438,6 @@ def joint_disintegrate(measures: Sequence[ZeroMeanMeasure], g: Callable,
     """
     if not measures:
         raise InputError("need at least one coordinate measure")
-    n = int(n)
     lhs_cols = []
     rhs_cols = []
     for mu in measures:
@@ -448,7 +449,7 @@ def joint_disintegrate(measures: Sequence[ZeroMeanMeasure], g: Callable,
         span = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
             p_hi = np.where(span > 0, -lo / np.where(span > 0, span, 1.0), 0.0)
-        take_hi = rng.random(n) < p_hi
+        take_hi = rng.random(len(xs2)) < p_hi
         x_new = np.where(take_hi, hi, lo)
         r_new = np.where(take_hi, lo, hi)
         rhs_cols.extend([x_new, r_new])

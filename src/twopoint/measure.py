@@ -40,13 +40,14 @@ Conventions relied on by the other modules:
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -201,6 +202,47 @@ def _bisect(below, lo, hi, tol, steps):
         else:
             hi = mid
     return lo, hi
+
+
+def _ranks(edges, keys, side: str) -> np.ndarray:
+    """``np.searchsorted(edges, keys, side)``, found by one sort of
+    ``keys``: the few edges are searched into the sorted keys, and each
+    key's rank is the running count of edges that cut before it.  A
+    binary search per key of a large unsorted batch mispredicts most of
+    its branches; this does not."""
+    order = np.argsort(keys)
+    # an edge cuts before the keys above it ("left") or from it ("right")
+    cuts = np.searchsorted(keys[order], edges,
+                           "right" if side == "left" else "left")
+    counts = np.bincount(cuts, minlength=len(keys) + 1)
+    np.cumsum(counts, out=counts)
+    ranks = np.empty_like(order)
+    ranks[order] = counts[:-1]
+    return ranks
+
+
+def _draw_count(n, least: int = 0) -> int:
+    """``n`` as a number of draws: an integer, not a bool, of at least
+    ``least``."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or isinstance(n, bool) or count < least:
+        raise InputError(f"draw count must be an integer of at least "
+                         f"{least}, got {_shown(n)}")
+    return count
+
+
+def _choice(weights: np.ndarray, n, rng) -> np.ndarray:
+    """Indices of ``n`` i.i.d. draws with probabilities proportional to
+    ``weights``: what ``rng.choice(len(weights), n, p=weights /
+    weights.sum())`` returns, bit for bit, leaving ``rng`` in the same
+    state, with the uniforms looked up by :func:`_ranks`."""
+    n = _draw_count(n)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return _ranks(cdf, rng.random(n), "right")
 
 
 class ZeroMeanMeasure:
@@ -718,13 +760,15 @@ class ZeroMeanMeasure:
     def _float_levels(self) -> FloatLevels:
         """The :class:`FloatLevels` of a discrete measure, built once."""
         _, hi, a, b = self._level_columns
-        steps = self._steps.values()  # in atom order
+        # (base, jump) per atom in atom order; as objects, ints over D
+        # divide correctly rounded
+        steps = np.fromiter(chain.from_iterable(self._steps.values()),
+                            object, 2 * len(self._steps))
+        base, jump = (steps / self._unit).astype(float).reshape(-1, 2).T.copy()
         return FloatLevels(
-            np.array([float(l) for l in self._locs]),
-            np.array([float(p) for p in self._masses]),
-            np.array([c / self._unit for c, _ in steps]),
-            np.array([c / self._unit for _, c in steps]),
-            np.array([float(c) for c in self._cummass[:-1]]),
+            np.array(self._locs, dtype=float),
+            np.array(self._masses, dtype=float), base, jump,
+            np.array(self._cummass[:-1], dtype=float),
             (hi / self._unit).astype(float), a.astype(float), b.astype(float))
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -733,10 +777,10 @@ class ZeroMeanMeasure:
         return self._float_levels.locs[idx]
 
     def sample_indices(self, n: int, rng) -> np.ndarray:
-        """Indices into :attr:`atoms` for ``n`` i.i.d. draws."""
+        """Indices into :attr:`atoms` for ``n`` i.i.d. draws, as
+        ``rng.choice`` would draw them from the atoms' float masses."""
         self._require_discrete("sample_indices")
-        mass = self._float_levels.mass
-        return rng.choice(len(mass), size=int(n), p=mass / mass.sum())
+        return _choice(self._float_levels.mass, n, rng)
 
     # -- serialization -----------------------------------------------------
 

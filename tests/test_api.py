@@ -3,6 +3,7 @@ README's quick start."""
 
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +75,36 @@ def test_readme_quick_start_runs(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "3/5 -1 1" in done.stdout.splitlines()
+
+
+def test_readme_command_line_runs(tmp_path):
+    """The README's first shell block under "Command line", cut out as the
+    CI step's awk does, runs under ``bash -eo pipefail`` with ``twopoint``
+    on the path."""
+    root = Path(__file__).parents[1]
+    block, section, on = [], False, False
+    for line in (root / "README.md").read_text().splitlines():
+        section = section or line == "## Command line"
+        if section and line == "```sh":
+            on = True
+        elif on and line == "```":
+            break
+        elif on:
+            block.append(line)
+    assert block
+    script = tmp_path / "readme-cli.sh"
+    script.write_text("\n".join(block) + "\n")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "twopoint"
+    shim.write_text(
+        f'#!/bin/sh\nexec "{sys.executable}" -m twopoint.cli "$@"\n')
+    shim.chmod(0o755)
+    work = tmp_path / "work"
+    work.mkdir()
+    done = subprocess.run(
+        ["bash", "-eo", "pipefail", str(script)], cwd=work,
+        env={"PYTHONPATH": str(root / "src"),
+             "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -540,10 +540,17 @@ class TestRatioMomentSum:
 
 # --- the float view against the per-atom formulas it replaced ---------------
 
+def _choice(probs, n, rng):
+    """Indices of ``n`` draws by the generator's own ``choice``."""
+    probs = np.array([float(p) for p in probs])
+    return rng.choice(len(probs), size=n, p=probs / probs.sum())
+
+
 def _per_atom_sample_pairs(mu, n, rng):
-    """``sample_pairs`` as it read the lattice off the measure's fields."""
-    idx = mu.sample_indices(n, rng)
-    us = rng.random(int(n))
+    """``sample_pairs`` as it read the lattice off the measure's fields,
+    drawing the atoms with ``rng.choice``."""
+    idx = _choice([p for _, p in mu.atoms], n, rng)
+    us = rng.random(n)
     locs = np.array([float(l) for l, _ in mu.atoms])
     table = mu._level_table()
     unit = mu._unit
@@ -562,16 +569,16 @@ def _per_atom_sample_pairs(mu, n, rng):
 
 def _per_atom_uniformity_values(mu, which, n, rng):
     """The transformed draws of ``uniformity_check`` with one API call
-    per atom, before the sort."""
+    per atom, before the sort, drawing the atoms with ``rng.choice``."""
     us = rng.random(n)
     if which == "G_tilde_Y":
         tl = tilt(mu, "Y")
-        idx = tl.sample_indices(n, rng)
+        idx = _choice(tl.probs, n, rng)
         base = np.array([float(mu.g_tilde(l, 0)) for l in tl.locations])
         slope = np.array([float(abs(l) * mu.mass_at(l))
                           for l in tl.locations])
         return (base[idx] + slope[idx] * us) / float(mu.m)
-    idx = mu.sample_indices(n, rng)
+    idx = _choice([p for _, p in mu.atoms], n, rng)
     base = np.array([float(mu.cdf_left(l)) for l, _ in mu.atoms])
     slope = np.array([float(p) for _, p in mu.atoms])
     return base[idx] + slope[idx] * us
@@ -615,6 +622,51 @@ def test_float_view_is_bit_identical(kind):
         stat = float(np.maximum(grid - vals, vals - (grid - 1 / 5000)).max())
         rep = uniformity_check(mu, which, 5000, rng=np.random.default_rng(12))
         assert rep.statistic == stat, which
+
+
+@pytest.mark.parametrize("kind", sorted(FLOAT_VIEW_MEASURES))
+@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+def test_draws_are_generator_choice(kind, n):
+    """Atom and tilt draws are ``rng.choice``'s, and leave the generator
+    where it leaves it."""
+    mu = FLOAT_VIEW_MEASURES[kind]()
+    laws = [(mu.sample_indices, [p for _, p in mu.atoms])]
+    laws += [(tl.sample_indices, tl.probs)
+             for tl in (tilt(mu, which)
+                        for which in disintegration.TILT_KINDS)]
+    for draw, probs in laws:
+        got, want = np.random.default_rng(13), np.random.default_rng(13)
+        idx = draw(np.int64(n), got)
+        assert idx.dtype == np.int64
+        assert idx.tolist() == _choice(probs, n, want).tolist()
+        assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("n", [-1, math.nan, 2.5, True, "3", None],
+                         ids=["negative", "nan", "fraction", "bool",
+                              "string", "none"])
+@pytest.mark.parametrize("call", [
+    lambda mu, n, rng: mu.sample(n, rng),
+    lambda mu, n, rng: sample_pairs(mu, n, rng),
+    lambda mu, n, rng: tilt(mu, "Y").sample_indices(n, rng),
+    lambda mu, n, rng: uniformity_check(mu, "G_tilde_Y", n, rng=rng),
+    lambda mu, n, rng: uniformity_check(mu, "F_tilde_X", n, rng=rng),
+    lambda mu, n, rng: joint_disintegrate([mu], lambda *c: 0.0, n, rng),
+], ids=["sample", "sample_pairs", "tilt", "uniformity-G", "uniformity-F",
+        "joint"])
+def test_bad_draw_count(four_atom, rng, call, n):
+    with pytest.raises(InputError, match="draw count"):
+        call(four_atom, n, rng)
+
+
+def test_draw_counts(four_atom, rng):
+    """Integer counts of any kind draw; no draws are three empty arrays;
+    a Kolmogorov distance needs at least one draw."""
+    assert four_atom.sample(np.int32(3), rng).shape == (3,)
+    assert [a.shape for a in sample_pairs(four_atom, 0, rng)] == [(0,)] * 3
+    for which in ("G_tilde_Y", "F_tilde_X"):
+        with pytest.raises(InputError, match="draw count"):
+            uniformity_check(four_atom, which, 0, rng=rng)
 
 
 @pytest.mark.parametrize("call", [

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twopoint import INF, NEG_INF, ZeroMeanMeasure, cli, measure
@@ -327,6 +327,9 @@ class TestChecksOnce:
         assert got is value or type(value) is not float
 
 
+RANK_GRID = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]
+
+
 class TestDistribution:
     def test_cdf(self, four_atom):
         cdf = four_atom.cdf
@@ -361,6 +364,22 @@ class TestDistribution:
         vals, counts = np.unique(draws, return_counts=True)
         assert set(vals) <= {-1.0, 0.0, 1.0, 2.0}
         assert abs(counts[vals == -1.0][0] / 4000 - 0.5) < 0.05
+
+    # edges and keys drawn from one small grid hit duplicate edges, keys
+    # equal to an edge, repeated keys and -0.0 against 0.0
+    @given(st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4),
+                    min_size=1, max_size=30),
+           st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4),
+                    max_size=60))
+    @example([0.0], [-0.0, 0.0, 0.0, -1.0, 1.0])
+    @example([-0.0, 0.0, 0.0, 1.0], [])
+    def test_ranks_are_searchsorted(self, edges, keys):
+        edges, keys = np.sort(edges), np.array(keys, dtype=float)
+        for side in ("left", "right"):
+            got = measure._ranks(edges, keys, side)
+            want = np.searchsorted(edges, keys, side)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist(), side
 
     def test_json_round_trip(self, four_atom):
         back = ZeroMeanMeasure.from_jsonable(four_atom.to_jsonable())
