@@ -47,7 +47,7 @@ from collections import Counter, namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -74,6 +74,10 @@ MASS_SUM_TOL = 1e-12
 
 #: relative factor applied to E|X| for the default mean-zero tolerance
 MEAN_TOL_FACTOR = 1e-9
+
+#: a batch lookup (:func:`_ranks`) cuts its table's span into at most this
+#: many cells per edge
+CELLS_PER_EDGE = 32
 
 
 class _Brief(reprlib.Repr):
@@ -205,19 +209,37 @@ def _bisect(below, lo, hi, tol, steps):
 
 
 def _ranks(edges, keys, side: str) -> np.ndarray:
-    """``np.searchsorted(edges, keys, side)``, found by one sort of
-    ``keys``: the few edges are searched into the sorted keys, and each
-    key's rank is the running count of edges that cut before it.  A
-    binary search per key of a large unsorted batch mispredicts most of
-    its branches; this does not."""
-    order = np.argsort(keys)
-    # an edge cuts before the keys above it ("left") or from it ("right")
-    cuts = np.searchsorted(keys[order], edges,
-                           "right" if side == "left" else "left")
-    counts = np.bincount(cuts, minlength=len(keys) + 1)
-    np.cumsum(counts, out=counts)
-    ranks = np.empty_like(order)
-    ranks[order] = counts[:-1]
+    """``np.searchsorted(edges, keys, side)`` for a sorted, non-empty table
+    and finite keys, with a binary search only for the keys that need one.
+
+    The table's span is cut into equal cells, ``CELLS_PER_EDGE`` per edge
+    but no more than there are keys.  A key in a cell that holds no edge
+    is ranked by the count of edges in the cells below it; only the keys
+    that share a cell with an edge are searched.  A binary search per key
+    of a large unsorted batch mispredicts most of its branches, while a
+    cell is read off with none.
+    """
+    cells = min(CELLS_PER_EDGE * len(edges), len(keys))
+    lo, hi = float(edges[0]), float(edges[-1])
+    scale = cells / (hi - lo) if hi > lo else 0.0
+    shift = 1.0 - lo * scale
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        scale, shift = 0.0, 0.0  # one cell: every key is searched
+
+    def cell(x):
+        # monotone in x, so an edge in a lower cell is below every key
+        # of this cell and an edge in a higher one above them all
+        with np.errstate(over="ignore"):
+            t = x * scale
+            t += shift
+        return np.clip(t, 0, cells + 1, out=t).astype(np.intp)
+
+    counts = np.bincount(cell(edges), minlength=cells + 2)
+    below = np.cumsum(counts)  # at an empty cell, the edges below it
+    below[counts > 0] = -1
+    ranks = below[cell(keys)]
+    shared = np.flatnonzero(ranks < 0)
+    ranks[shared] = np.searchsorted(edges, keys[shared], side)
     return ranks
 
 
@@ -760,14 +782,12 @@ class ZeroMeanMeasure:
     def _float_levels(self) -> FloatLevels:
         """The :class:`FloatLevels` of a discrete measure, built once."""
         _, hi, a, b = self._level_columns
-        # (base, jump) per atom in atom order; as objects, ints over D
-        # divide correctly rounded
-        steps = np.fromiter(chain.from_iterable(self._steps.values()),
-                            object, 2 * len(self._steps))
-        base, jump = (steps / self._unit).astype(float).reshape(-1, 2).T.copy()
+        steps = self._steps.values()  # in atom order
         return FloatLevels(
             np.array(self._locs, dtype=float),
-            np.array(self._masses, dtype=float), base, jump,
+            np.array(self._masses, dtype=float),
+            np.array([c / self._unit for c, _ in steps]),
+            np.array([c / self._unit for _, c in steps]),
             np.array(self._cummass[:-1], dtype=float),
             (hi / self._unit).astype(float), a.astype(float), b.astype(float))
 

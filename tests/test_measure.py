@@ -366,13 +366,19 @@ class TestDistribution:
         assert abs(counts[vals == -1.0][0] / 4000 - 0.5) < 0.05
 
     # edges and keys drawn from one small grid hit duplicate edges, keys
-    # equal to an edge, repeated keys and -0.0 against 0.0
-    @given(st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4),
+    # equal to an edge, repeated keys and -0.0 against 0.0; floats of any
+    # size give spans that overflow or round to nothing
+    @given(st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4)
+                    | st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=30),
-           st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4),
+           st.lists(st.sampled_from(RANK_GRID) | st.floats(-4, 4)
+                    | st.floats(allow_nan=False, allow_infinity=False),
                     max_size=60))
     @example([0.0], [-0.0, 0.0, 0.0, -1.0, 1.0])
     @example([-0.0, 0.0, 0.0, 1.0], [])
+    @example([-1e308, 1e308], [-1.7e308, 0.0, 1e308, 1.7e308])
+    @example([5e-324, 1e-323], [0.0, 5e-324, 1e-323, 1.0])
+    @example([1e10, 1e10 + 1e-5], [1e10, 1e10 + 5e-6, 1e10 + 1e-5])
     def test_ranks_are_searchsorted(self, edges, keys):
         edges, keys = np.sort(edges), np.array(keys, dtype=float)
         for side in ("left", "right"):
