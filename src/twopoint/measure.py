@@ -77,7 +77,7 @@ MEAN_TOL_FACTOR = 1e-9
 
 #: a batch lookup (:func:`_ranks`) cuts its table's span into at most this
 #: many cells per edge
-CELLS_PER_EDGE = 32
+_CELLS_PER_EDGE = 32
 
 
 class _Brief(reprlib.Repr):
@@ -212,14 +212,14 @@ def _ranks(edges, keys, side: str) -> np.ndarray:
     """``np.searchsorted(edges, keys, side)`` for a sorted, non-empty table
     and finite keys, with a binary search only for the keys that need one.
 
-    The table's span is cut into equal cells, ``CELLS_PER_EDGE`` per edge
+    The table's span is cut into equal cells, ``_CELLS_PER_EDGE`` per edge
     but no more than there are keys.  A key in a cell that holds no edge
     is ranked by the count of edges in the cells below it; only the keys
     that share a cell with an edge are searched.  A binary search per key
     of a large unsorted batch mispredicts most of its branches, while a
     cell is read off with none.
     """
-    cells = min(CELLS_PER_EDGE * len(edges), len(keys))
+    cells = min(_CELLS_PER_EDGE * len(edges), len(keys))
     lo, hi = float(edges[0]), float(edges[-1])
     scale = cells / (hi - lo) if hi > lo else 0.0
     shift = 1.0 - lo * scale
