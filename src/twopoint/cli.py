@@ -335,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="build and probe a curve family")
     add_io(p, needs_input=False)
-    p.add_argument("--family", required=True,
-                   choices=("power", "hyperbolic", "cubic_rate",
-                            "two_slope"))
+    p.add_argument("--family", required=True, choices=modeling._FAMILIES)
     p.add_argument("--p", default=None,
                    help="power exponent; inf or -inf for the limits")
     p.add_argument("--c", type=float, default=None, help="scale")

@@ -410,10 +410,10 @@ def uniformity_check(measure: ZeroMeanMeasure, which: str = "G_tilde_Y",
     lv = measure._float_levels
     if which == "G_tilde_Y":
         idx = tilt(measure, "Y").sample_indices(n, rng)
-        # the tilt leaves out the atom at zero, by its exact location
-        off = np.flatnonzero([l != 0 for l, _ in measure.atoms])
-        vals = ((lv.base[off][idx] + lv.jump[off][idx] * us)
-                / float(measure.m))
+        if measure.prob_zero:
+            # the tilt leaves out the atom at zero, next after the negatives
+            idx += idx >= len(measure._neg_locs)
+        vals = (lv.base[idx] + lv.jump[idx] * us) / float(measure.m)
     else:
         idx = measure.sample_indices(n, rng)
         vals = lv.below[idx] + lv.mass[idx] * us

@@ -145,11 +145,6 @@ def _stable_sort(arr: np.ndarray) -> tuple:
     return order, arr[order]
 
 
-def _stable_order(arr: np.ndarray) -> np.ndarray:
-    """``np.argsort(arr, kind="stable")`` without timsort."""
-    return _stable_sort(arr)[0]
-
-
 @dataclass(frozen=True)
 class EmpiricalPartners:
     """Per-observation partners of a recentred sample, original order."""

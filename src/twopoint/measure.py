@@ -40,6 +40,7 @@ Conventions relied on by the other modules:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import reprlib
 from bisect import bisect_left, bisect_right
@@ -254,6 +255,39 @@ def _draw_count(n, least: int = 0) -> int:
         raise InputError(f"draw count must be an integer of at least "
                          f"{least}, got {_shown(n)}")
     return count
+
+
+def _from_spec(obj, tag: str, kinds: dict):
+    """What a JSON spec ``{tag: kind, **params}`` names.  ``kinds`` maps
+    each kind to its constructor and its parameters' defaults (``None``:
+    required).  A parameter with a string default is passed as given; any
+    other must be a real number that is not a bool (kept as is) or a
+    string that ``float`` reads, within the float range.  Any other value,
+    kind or key is one :class:`InputError`."""
+    kind = obj.get(tag) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InputError(f"spec must be an object whose {tag!r} is one of "
+                         f"{tuple(kinds)}")
+    make, defaults = kinds[kind]
+    foreign = [key for key in obj if key != tag and key not in defaults]
+    if foreign:
+        raise InputError(f"{kind} takes only {tuple(defaults)}, "
+                         f"got {_shown(foreign)}")
+    args = []
+    for key, default in defaults.items():
+        value = obj.get(key, default)
+        if not isinstance(default, str):
+            try:
+                number = float(value)
+            except (TypeError, ValueError, OverflowError):
+                number = None
+            if number is None or isinstance(value, bool) or not isinstance(
+                    value, (numbers.Real, str)):
+                raise InputError(f"{kind} needs a number {key!r}, "
+                                 f"got {_shown(value)}")
+            value = number if isinstance(value, str) else value
+        args.append(value)
+    return make(*args)
 
 
 def _choice(weights: np.ndarray, n, rng) -> np.ndarray:

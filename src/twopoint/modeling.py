@@ -34,7 +34,7 @@ from .errors import (
     Lip1Violated,
     NotValidCurve,
 )
-from .measure import INF, NEG_INF, ZeroMeanMeasure, _bisect, _shown
+from .measure import INF, NEG_INF, ZeroMeanMeasure, _bisect, _from_spec
 
 __all__ = [
     "ReciprocatingCurve",
@@ -607,36 +607,18 @@ def validate_x_pm(y_plus: Callable[[float], float],
 
 # --- serialization helpers ------------------------------------------------
 
-#: each family and the parameters its spec may give
-_FAMILIES = {"power": ("p", "c"), "hyperbolic": ("alpha", "c"),
-             "cubic_rate": ("alpha", "c"), "two_slope": ("kappa",)}
+#: each family's constructor and its parameters' defaults (None: required)
+_FAMILIES = {"power": (power_family, {"p": None, "c": 1}),
+             "hyperbolic": (hyperbolic_family, {"alpha": 0, "c": 1}),
+             "cubic_rate": (cubic_rate_family, {"alpha": 0, "c": 1}),
+             "two_slope": (two_slope_family, {"kappa": 1})}
 
 
 def family_from_spec(obj: dict) -> ReciprocatingCurve:
     """Build a family member from its JSON description, e.g.
-    ``{"family": "power", "p": 2, "c": 1}``; a key that is neither
-    ``family`` nor one of the family's parameters is refused."""
-    kind = obj.get("family") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _FAMILIES:
-        raise InputError(
-            f"curve spec must name a family in {tuple(_FAMILIES)}")
-    foreign = [k for k in obj if k != "family" and k not in _FAMILIES[kind]]
-    if foreign:
-        raise InputError(f"{kind} family takes only {_FAMILIES[kind]}, "
-                         f"got {_shown(foreign)}")
-    if kind == "power":
-        # a number or a numeric string; "inf" and "-inf" name the limits
-        try:
-            p = float(obj.get("p"))
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("power family needs a numeric exponent p, got "
-                             f"{_shown(obj.get('p'))}") from None
-        return power_family(p, obj.get("c", 1))
-    if kind == "hyperbolic":
-        return hyperbolic_family(obj.get("alpha", 0), obj.get("c", 1))
-    if kind == "cubic_rate":
-        return cubic_rate_family(obj.get("alpha", 0), obj.get("c", 1))
-    return two_slope_family(obj.get("kappa", 1))
+    ``{"family": "power", "p": "inf", "c": 1}``, by the rule of
+    :func:`~twopoint.measure._from_spec`."""
+    return _from_spec(obj, "family", _FAMILIES)
 
 
 def curve_table(curve: ReciprocatingCurve, xs: Sequence[float]):

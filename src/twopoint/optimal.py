@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 from .disintegration import MixtureDecomposition, tilt, two_point
 from .errors import (BadP, InputError, NotADisintegration, NotSuperadditive,
                      UnsupportedMarginals)
-from .measure import ZeroMeanMeasure, _approx, _as_number, _shown
+from .measure import (ZeroMeanMeasure, _approx, _as_number, _from_spec,
+                      _shown)
 
 __all__ = [
     "CostFunction",
@@ -157,30 +158,18 @@ def custom_cost(fn: Callable, canonical_is: str) -> CostFunction:
     return CostFunction(fn, canonical_is, "custom")
 
 
+#: each cost's constructor and its parameters' defaults
+_COSTS = {"indicator_ge": (indicator_ge, {"a": 0, "b": 0}),
+          "neg_abs_diff_pow": (neg_abs_diff_pow, {"p": 1}),
+          "abs_sum_pow": (abs_sum_pow, {"p": 1}),
+          "ratio_pow": (ratio_pow, {"p": 1, "side": "pos_over_neg"})}
+
+
 def cost_from_spec(obj: dict) -> CostFunction:
     """Build a named cost from its JSON description, e.g.
-    ``{"kind": "indicator_ge", "a": 2, "b": 2}``.  Numeric parameters
-    keep their JSON type, so labels print them as given."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InputError("cost spec must be an object with a 'kind'")
-
-    def number(key, default):
-        value = obj.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InputError(f"cost parameter {key!r} must be a number, "
-                             f"got {_shown(value)}")
-        return value
-
-    kind = obj["kind"]
-    if kind == "indicator_ge":
-        return indicator_ge(number("a", 0), number("b", 0))
-    if kind == "neg_abs_diff_pow":
-        return neg_abs_diff_pow(number("p", 1))
-    if kind == "abs_sum_pow":
-        return abs_sum_pow(number("p", 1))
-    if kind == "ratio_pow":
-        return ratio_pow(number("p", 1), obj.get("side", "pos_over_neg"))
-    raise InputError(f"unknown cost kind {kind!r}")
+    ``{"kind": "indicator_ge", "a": 2, "b": 2}``, by the rule of
+    :func:`~twopoint.measure._from_spec`; labels print numbers as given."""
+    return _from_spec(obj, "kind", _COSTS)
 
 
 # --- alternative representations ------------------------------------------

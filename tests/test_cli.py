@@ -47,6 +47,7 @@ class TestDisintegrate:
                          for c in data["decomposition"]["components"])
         assert weights == [0.1, 0.3, 0.6]
         assert as_float(data["m"]) == 0.5
+        assert data["m"] == "1/2"
         assert as_float(data["er_over_x"]) == -1.15
         assert as_float(data["ex_over_r"]) == -1.0
 
@@ -161,6 +162,7 @@ class TestTest:
         data = json.loads(out)
         assert data["certified"] is False
         assert 0.0 <= data["p_value"] <= 1.0
+        assert data["n"] == 6
 
     def test_width_norm_overflow_is_quiet(self, tmp_path, capsys):
         src = tmp_path / "xs.txt"
@@ -230,7 +232,8 @@ def test_load_samples_matches_token_loader(tmp_path_factory, text):
                                                           str(path))
 
 
-@pytest.mark.parametrize("text", ["", "\n", " \t\r\n ", ",", ",, ,\n,"])
+@pytest.mark.parametrize("text", ["", "\n", " \t\r\n ", ",", ",, ,\n,",
+                                  " \n\t,\n"])
 def test_blank_sample_input_is_empty(tmp_path, capsys, text):
     src = tmp_path / "xs.txt"
     src.write_text(text)
@@ -256,6 +259,44 @@ def test_invalid_utf8_is_one_error_line(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: InputError: could not decode sample "
                           "input: 'utf-8' codec can't decode byte 0xff")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, text, err", [
+    (["test"], "1e308 1e308 -1\n", "InputError: sample sum overflows the "
+     "float range"),
+    (["test", "--mode", "bernoulli", "--p", "0.3"], "1e308 1e308 -1\n",
+     "InputError: sample sum overflows the float range"),
+    (["estimate", "--seed", "1"], "1e308 1e308 -1\n",
+     "InputError: sample sum overflows the float range"),
+    # a sample file is no measure
+    (["verify"], "-3\n-1\n-1\n0\n2\n3\n", "InputError: could not parse"),
+], ids=["test", "bernoulli-test", "estimate", "verify-a-sample"])
+def test_unusable_input_file_is_one_error_line(tmp_path, capsys, argv, text,
+                                               err):
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    code, out, got = run(capsys, [*argv, "--input", str(src)])
+    assert (code, out) == (1, "")
+    assert got.startswith(f"error: {err}")
+    assert len(got.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, seed", [
+    ("-3\n-1\n-1\n0\n2\n3\n", "7"),
+    # mostly ties: most resamples pair zeros with zero, and some hold one
+    # side only
+    ("0 0 0 0 0 0 0 0 1 -1\n", "1"),
+], ids=["readme-sample", "ties"])
+def test_estimate_interval_holds_the_mean(tmp_path, capsys, text, seed):
+    src = tmp_path / "xs.txt"
+    src.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["estimate", "--input", str(src),
+                                      "--seed", seed])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["ci"][0] <= data["mean"] <= data["ci"][1]
 
 
 def test_invalid_utf8_measure_is_a_json_error(tmp_path, capsys):
@@ -316,9 +357,10 @@ class TestModel:
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert lines[0] == "x,r"
+        assert len(lines) == 1 + int(argv[-1].rsplit(":", 1)[1])
         for line in lines[1:]:
             x, r = map(float, line.split(","))  # plain repr floats
-            assert r == pytest.approx(slope * x, rel=1e-12)
+            assert abs(r - slope * x) <= 1e-12 * abs(x)
 
     def test_validate_json(self, capsys):
         code, out, _ = run(capsys, ["model", "--family", "two_slope",
@@ -345,9 +387,13 @@ class TestModel:
         ["power", "--p", "1", "--c", "1", "--table", "1:2"],
         ["power", "--p", "2", "--alpha", "0.5"],
         ["two_slope", "--kappa", "2", "--c", "1"],
+        ["power", "--p=[2]"],
+        ["power", "--p", "null"],
+        ["power", "--p", "true"],
     ], ids=["non-numeric-exponent", "missing-exponent", "bad-table-count",
             "infinite-table-bound", "table-span-overflows",
-            "table-without-count", "power-with-alpha", "two-slope-with-c"])
+            "table-without-count", "power-with-alpha", "two-slope-with-c",
+            "list-exponent", "null-exponent", "bool-exponent"])
     def test_bad_input_is_one_error_line(self, capsys, extra):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -447,6 +493,7 @@ class TestEstimate:
         data = json.loads(out1)
         assert data["seed"] == 5
         assert len(data["ci"]) == 2
+        assert data["ci"][0] <= data["mean"] <= data["ci"][1]
 
     def test_seed_required(self, tmp_path, capsys):
         src = tmp_path / "xs.txt"
@@ -691,10 +738,16 @@ ALT = json.dumps({"components": [{"w": "3/10", "a": -2, "b": 1},
     (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": null}']),
     (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": 1000}']),
     (ALT, ["--cost", '{"kind": "ratio_pow", "p": 2000}']),
+    (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": [2]}']),
+    (ALT, ["--cost", '{"kind": "neg_abs_diff_pow", "p": true}']),
+    (ALT, ["--cost", '{"kind": "indicator_ge", "b": "abc"}']),
+    (ALT, ["--cost", '{"kind": "abs_sum_pow", "P": 2}']),
+    (ALT, ["--cost", '{"kind": "ratio_pow", "sid": "neg_over_pos"}']),
 ], ids=["malformed-cost", "list-component", "huge-quoted-weight",
         "huge-weight-sum", "huge-quoted-endpoint", "string-ratio-power",
         "string-threshold", "null-width-power", "beyond-float-width-power",
-        "beyond-float-ratio-power"])
+        "beyond-float-ratio-power", "list-power", "bool-power",
+        "non-numeric-threshold", "unknown-key", "misspelt-side"])
 def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
     src = write_json(tmp_path / "mu.json", FOUR)
     alt_path = tmp_path / "alt.json"

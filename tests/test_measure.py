@@ -6,13 +6,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint import INF, NEG_INF, ZeroMeanMeasure, cli, measure
+from twopoint import (INF, NEG_INF, ZeroMeanMeasure, cli, cost_from_spec,
+                      family_from_spec, measure, modeling, optimal)
 from twopoint.errors import (BadMass, DegenerateAtZero, EmptySample,
                              ConstantSample, InputError, NegativeH,
-                             NonZeroMean, NotDiscrete)
+                             NonZeroMean, NotDiscrete, TwopointError)
 
 
 class TestConstruction:
@@ -528,3 +529,48 @@ NAN_CURVE = ZeroMeanMeasure.analytic(lambda x: math.nan, 1, (-1, 1))
 def test_input_checks(four_atom, call, error):
     with pytest.raises(error):
         call(four_atom)
+
+
+#: each parameter of each kind that a spec names: the reader, the spec's
+#: tag, the kind, the parameter and the kind's required parameters
+SPEC_PARAMS = [
+    (read, tag, kind, key, {k: 1 for k, v in defaults.items() if v is None})
+    for read, tag, kinds in [(family_from_spec, "family", modeling._FAMILIES),
+                             (cost_from_spec, "kind", optimal._COSTS)]
+    for kind, (_, defaults) in kinds.items() for key in defaults]
+
+
+def _spec_param(kind, key):
+    return next(p for p in SPEC_PARAMS if p[2:4] == (kind, key))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SPEC_PARAMS), st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(["2", " -0.5 ", "1e400", "inf", "-inf", "nan", "3/10",
+                     "pos_over_neg", "neg_over_pos"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+@example(_spec_param("two_slope", "kappa"), "2")
+@example(_spec_param("abs_sum_pow", "p"), "2")
+@example(_spec_param("power", "p"), 10 ** 400)
+@example(_spec_param("ratio_pow", "side"), ["neg_over_pos"])
+def test_spec_value_builds_or_is_one_error(param, value):
+    # any JSON value of any parameter builds, or raises one TwopointError;
+    # a string that float reads builds what its float builds
+    read, tag, kind, key, required = param
+
+    def outcome(v):
+        try:
+            return read({tag: kind, **required, key: v}).label
+        except TwopointError as exc:
+            return type(exc)
+
+    got = outcome(value)
+    if isinstance(value, str) and key != "side":
+        try:
+            number = float(value)
+        except ValueError:
+            assert got is InputError
+        else:
+            assert got == outcome(number)

@@ -77,6 +77,8 @@ class TestTwoSlope:
         assert cv(-1.0) == 2.0
         assert not cv.smooth_at_zero
         assert two_slope_family(1.0).smooth_at_zero
+        assert family_from_spec({"family": "two_slope",
+                                 "kappa": "2"}).label == cv.label
 
     def test_kink_fails_derivative_check(self):
         kinked = two_slope_family(2.0)
@@ -291,13 +293,23 @@ class TestInverseCharacterization:
     (lambda: family_from_spec({"family": "logistic"}), InputError),
     (lambda: family_from_spec({"family": "power", "p": 2, "kappa": -5}),
      InputError),
+    (lambda: family_from_spec({"family": "two_slope", "kappa": [2]}),
+     InputError),
+    (lambda: family_from_spec({"family": "hyperbolic", "c": None}),
+     InputError),
+    (lambda: family_from_spec({"family": "power", "p": True}), InputError),
+    (lambda: family_from_spec({"family": "cubic_rate", "alpha": "abc"}),
+     InputError),
+    (lambda: from_asymmetry_pattern(AsymmetryPattern(lambda w: 0.5, -INF,
+                                                     INF)), Lip1Violated),
     (lambda: validate_x_pm(lambda h: 1.0, lambda h: -1.0, 0.0), InputError),
     (lambda: validate_x_pm(lambda h: math.nan, lambda h: -1.0, 1.0),
      CharacterizationFailed),
 ], ids=["power-nan-exponent", "two-slope-zero-kappa", "two-slope-inf-kappa",
         "hyperbolic-zero-scale", "cubic-rate-inf-scale", "cubic-rate-alpha",
-        "unknown-family", "power-with-kappa", "half-mean-zero",
-        "nan-candidate"])
+        "unknown-family", "power-with-kappa", "list-parameter",
+        "null-parameter", "bool-parameter", "non-numeric-parameter",
+        "pattern-off-zero", "half-mean-zero", "nan-candidate"])
 def test_input_checks(call, error):
     with pytest.raises(error):
         call()

@@ -108,6 +108,8 @@ class TestCostFunctions:
         gap = cost_from_spec({"kind": "neg_abs_diff_pow", "p": 2})
         assert (gap.label, gap.canonical_is) == ("neg_abs_diff_pow(2)", "max")
         assert gap(3, 1) == -4
+        assert cost_from_spec({"kind": "abs_sum_pow",
+                               "p": "2"}).label == "abs_sum_pow(2.0)"
 
 
 class TestComparisons:
@@ -220,6 +222,18 @@ class TestComonotone:
     (lambda mu, alt: custom_cost(lambda a, b: a * b, "median"), InputError),
     (lambda mu, alt: cost_from_spec({"p": 1}), InputError),
     (lambda mu, alt: cost_from_spec({"kind": "entropy"}), InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "abs_sum_pow", "p": [2]}),
+     InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "indicator_ge", "b": None}),
+     InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "neg_abs_diff_pow", "p": True}),
+     InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "ratio_pow", "p": "abc"}),
+     InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "abs_sum_pow", "P": 2}),
+     InputError),
+    (lambda mu, alt: cost_from_spec({"kind": "ratio_pow",
+                                     "sid": "neg_over_pos"}), InputError),
     (lambda mu, alt: alternative_disintegration(mu, [("1/2", -1)]),
      InputError),
     (lambda mu, alt: tilted_weights(
@@ -227,6 +241,8 @@ class TestComonotone:
      NotADisintegration),
     (lambda mu, alt: tilted_weights(alt, 2 * mu.m), NotADisintegration),
 ], ids=["bad-side", "bad-canonical-is", "no-kind", "unknown-kind",
+        "list-parameter", "null-parameter", "bool-parameter",
+        "non-numeric-parameter", "unknown-key", "misspelt-side",
         "not-a-triple", "zero-half-mean", "half-mean-mismatch"])
 def test_input_checks(symmetric_four, alt, call, error):
     with pytest.raises(error):
