@@ -193,12 +193,18 @@ def _cmd_verify(args, out) -> int:
             if float(abs(mu.reciprocate(r, v) - mu.regularize(loc, u))) > 1e-9:
                 v_ok = False
 
-    probe = lambda x: float(x) * float(x)
-    direct = float(disintegration.mixture_expect(mu, probe, "direct"))
-    modes_ok = all(
-        abs(float(disintegration.mixture_expect(mu, probe, mode)) - direct)
-        <= 1e-12 * (1.0 + abs(direct))
-        for mode in disintegration.MIXTURE_MODES)
+    if mu.is_exact:
+        # the five routes agree exactly here, at any scale
+        routes = {disintegration.mixture_expect(mu, lambda x: x * x, mode)
+                  for mode in disintegration.MIXTURE_MODES}
+        modes_ok = len(routes) == 1
+    else:
+        probe = lambda x: float(x) * float(x)
+        direct = float(disintegration.mixture_expect(mu, probe, "direct"))
+        modes_ok = all(
+            abs(float(disintegration.mixture_expect(mu, probe, mode))
+                - direct) <= 1e-12 * (1.0 + abs(direct))
+            for mode in disintegration.MIXTURE_MODES)
 
     p_pos, p_neg = disintegration.side_masses_from_levels(mu)
     sides_ok = (abs(float(p_pos) - float(mu.prob_positive)) <= 1e-12
@@ -298,8 +304,29 @@ def _cmd_estimate(args, out) -> int:
 
 # --- parser ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, like every other error of a command,
+    are one line on stderr; ``--help`` still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a nonnegative integer, as numpy's generators
+    take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twopoint",
         description="Zero-mean two-point mixtures: pairing, testing, "
                     "modeling, estimation.")
@@ -363,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--resamples", type=int, default=2000)
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=_seed, required=True,
                    help="resampling seed (stochastic commands require one)")
     p.set_defaults(fn=_cmd_estimate)
 

@@ -9,9 +9,12 @@ evaluation of mixture expectations by several distinct routes, tilted
 (size-biased) companion laws, uniformity diagnostics, and a joint,
 coordinate-wise disintegration identity.
 
-The ordered pieces, with one two-point law per row of the table, and the
-decomposition are built once per measure, on first use, and kept beside
-it without keeping it alive; every later route and moment reads them.
+The decomposition, as columns of weights and endpoints, and the ordered
+pieces, as columns that name each piece's component, are built from the
+columns of the level table once per measure, on first use, and kept
+beside it without keeping it alive; every later route and moment reads
+them.  A component's two-point law is made only when the components are
+first iterated.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import math
 import sys
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,17 +109,69 @@ def _law(a, b) -> TwoPointLaw:
     return TwoPointLaw(a, b, b / span, -a / span)
 
 
-@dataclass(frozen=True)
-class MixtureDecomposition:
-    """Weighted components whose mixture reproduces the source measure."""
+def _component_law(a, b) -> TwoPointLaw:
+    """The law of a component with endpoints ``a <= 0 <= b``: the point
+    mass at zero when ``a = b = 0``, else :func:`_law`."""
+    if a == b:
+        return TwoPointLaw(a, a, a + 1, a)
+    return _law(a, b)
 
-    components: tuple
+
+class MixtureDecomposition:
+    """Weighted components whose mixture reproduces the source measure.
+
+    Iteration yields ``(w, TwoPointLaw)`` pairs.  The weights and the
+    endpoints are also held as the columns ``w``, ``a`` and ``b``: float64
+    in the canonical decomposition of a float measure, objects otherwise.
+    The canonical decomposition makes its laws when first iterated.
+    """
+
+    __slots__ = ("w", "a", "b", "_components")
+
+    def __init__(self, components):
+        components = tuple(components)
+        self.w, self.a, self.b = (
+            np.array(column, dtype=object)
+            for column in ([w for w, _ in components],
+                           [law.a for _, law in components],
+                           [law.b for _, law in components]))
+        self._components = components
+
+    @classmethod
+    def _of_columns(cls, w, a, b) -> "MixtureDecomposition":
+        dec = cls.__new__(cls)
+        dec.w, dec.a, dec.b, dec._components = w, a, b, None
+        return dec
+
+    @property
+    def components(self) -> tuple:
+        """The ``(w, law)`` pairs, each ``w`` a Python number."""
+        if self._components is None:
+            self._components = tuple(zip(
+                self.w.tolist(),
+                map(_component_law, self.a.tolist(), self.b.tolist())))
+        return self._components
+
+    def _triples(self):
+        """``(w, a, b)`` per component, as Python numbers."""
+        return zip(self.w.tolist(), self.a.tolist(), self.b.tolist())
 
     def __iter__(self):
         return iter(self.components)
 
     def __len__(self):
-        return len(self.components)
+        return len(self.w)
+
+    def __eq__(self, other):
+        if not isinstance(other, MixtureDecomposition):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __repr__(self):
+        return f"MixtureDecomposition(components={self.components!r})"
 
     def expect(self, g: Callable):
         return sum(w * law.expect(g) for w, law in self.components)
@@ -133,50 +188,70 @@ class MixtureDecomposition:
         return out
 
     def to_jsonable(self) -> dict:
-        return {"components": [{"a": law.a, "b": law.b, "w": w}
-                               for w, law in self.components]}
+        return {"components": [{"a": a, "b": b, "w": w}
+                               for w, a, b in self._triples()]}
 
 
-#: per discrete measure, its rows and its decomposition, built on first
+#: per discrete measure, its decomposition and its pieces, built on first
 #: use; weak keys, so that an entry keeps no measure alive
 _BUILT = weakref.WeakKeyDictionary()
 
+#: the ordered level pieces of a discrete measure, in level order: per
+#: piece the index of its component in the decomposition, its side (0 for
+#: the piece of the component's ``a``, 1 for that of its ``b``) and its
+#: weight
+_Pieces = namedtuple("_Pieces", "comp side w")
+
 
 def _build(measure: ZeroMeanMeasure) -> tuple:
-    table = measure._level_table()  # NotDiscrete before any quadrature
-    p0 = measure.prob_zero
-    zero = measure._zero
-    point_mass = TwoPointLaw(zero, zero, measure._one, zero)
-    rows = [(zero, 0, point_mass, p0, None)] if p0 else []
+    table = measure._level_columns  # NotDiscrete before any quadrature
+    a, b, a_live, b_live = table.a, table.b, table.a_live, table.b_live
     # the table's endpoints are parsed already, with a < 0 < b
-    rows += [(a, b, _law(a, b), dh / -a if a_live else None,
-              dh / b if b_live else None)
-             for dh, _, a, b, a_live, b_live in zip(*table)]
+    w_a, w_b = table.dh / -a, table.dh / b
+    p0 = measure.prob_zero
+    if p0:  # the atom at zero is a row of its own, with one piece
+        zero = measure._zero
+        a, b, w_a, w_b = (np.concatenate(([first], column)) for first, column
+                          in ((zero, a), (zero, b), (p0, w_a), (zero, w_b)))
+        a_live, b_live = np.append(True, a_live), np.append(False, b_live)
+    # a row's weight: its piece of a, then its piece of b
+    row_w = np.where(a_live & b_live, w_a + w_b, np.where(a_live, w_a, w_b))
     # x_minus never rises and x_plus never falls with the level, so rows
-    # with the same endpoints are neighbours, and sorted by endpoints the
-    # runs of one x_minus come last run first, each in level order
-    merged = []  # [-run of x_minus, weight, law, x_minus, x_plus]
-    for a, b, law, w_a, w_b in rows:
-        if not (merged and merged[-1][3] == a and merged[-1][4] == b):
-            run = merged[-1][0] - (merged[-1][3] != a) if merged else 0
-            merged.append([run, 0, law, a, b])
-        for w in (w_a, w_b):
-            if w is not None:
-                merged[-1][1] += w
-    merged.sort(key=itemgetter(0))
-    return tuple(rows), MixtureDecomposition(
-        tuple((w, law) for _, w, law, _, _ in merged))
+    # with the same endpoints are neighbours: each run is one component
+    a_new = a[1:] != a[:-1]
+    new = np.append(True, a_new | (b[1:] != b[:-1]))
+    start = np.flatnonzero(new)
+    stop = np.append(start[1:], len(new))
+    w = row_w[start]
+    for k in np.flatnonzero(stop - start > 1).tolist():
+        total = w[k]  # the later rows' pieces added one at a time
+        for r in range(start[k] + 1, stop[k]):
+            if a_live[r]:
+                total = total + w_a[r]
+            if b_live[r]:
+                total = total + w_b[r]
+        w[k] = total
+    # sorted by endpoints, the runs of one x_minus come last run first,
+    # each in level order
+    order = np.argsort(-np.cumsum(np.append(0, a_new))[start], kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    row_comp = rank[np.cumsum(new) - 1]
+    rows, side = np.nonzero(np.stack((a_live, b_live), axis=1))
+    pieces = _Pieces(row_comp[rows], side,
+                     np.stack((w_a, w_b), axis=1)[rows, side])
+    return MixtureDecomposition._of_columns(
+        w[order], a[start][order], b[start][order]), pieces
 
 
 def _built(measure: ZeroMeanMeasure) -> tuple:
-    """``(rows, decomposition)`` of a discrete measure, built once.
+    """``(decomposition, pieces)`` of a discrete measure, built once.
 
-    ``rows`` holds ``(a, b, law, w_a, w_b)`` for the atom at zero
-    (``a = b = 0``) and for every row of the level table, in level order,
-    with ``law = two_point(a, b)``.  The row's ordered pieces are
-    ``(a, b, w_a)`` and ``(b, a, w_b)``, each only while its side still
-    carries mass there (its weight is None otherwise): a piece of width
-    ``dh`` holds the part ``dh / |x|`` of the atom ``x``."""
+    ``pieces`` is the :data:`_Pieces` of the rows of the level table, in
+    level order, after the atom at zero as the row ``a = b = 0``.  A row
+    has a piece on each side that still carries mass there: a piece of
+    width ``dh`` holds the part ``dh / |x|`` of its atom ``x``, and pairs
+    it with the component's other endpoint."""
     got = _BUILT.get(measure)
     if got is None:
         got = _BUILT[measure] = _build(measure)
@@ -192,7 +267,7 @@ def decompose(measure: ZeroMeanMeasure) -> MixtureDecomposition:
     returned sorted by endpoints.  Built once per measure: a second call
     returns the same object.
     """
-    return _built(measure)[1]
+    return _built(measure)[0]
 
 
 # --- sampling of (x, partner) pairs ---------------------------------------
@@ -258,21 +333,30 @@ def mixture_expect(measure: ZeroMeanMeasure, g: Callable, mode: str = "direct"):
     if mode == "direct":
         return sum(p * g(l) for l, p in measure.atoms)
 
+    dec, pieces = _built(measure)
+    expected = [law.expect(g) for _, law in dec]
+    comp, side, seg = (column.tolist() for column in pieces)
     total = 0
-    for a, b, law, w_a, w_b in _built(measure)[0]:
-        expected = law.expect(g)
-        for x, partner, seg in ((a, b, w_a), (b, a, w_b)):
-            if seg is None:
-                continue
-            if mode == "u_integral":
-                term = seg * expected
-            elif mode == "ratio_weighted":
-                term = seg * (1 if x == 0 else -x / partner) * expected
-            else:  # half_sum
-                ratio = Fraction(-1) if x == 0 else x / partner
-                term = seg * ((1 - ratio) / 2) * expected
-            total = total + term
+    if mode == "u_integral":
+        for k, w in zip(comp, seg):
+            total = total + w * expected[k]
+        return total
+    a, b = dec.a.tolist(), dec.b.tolist()
+    scale = [[_piece_scale(mode, x, r) for x, r in zip(xs, rs)]
+             for xs, rs in ((a, b), (b, a))]
+    for k, s, w in zip(comp, side, seg):
+        total = total + w * scale[s][k] * expected[k]
     return total
+
+
+def _piece_scale(mode: str, x, partner):
+    """The factor by which ``mode`` reweights a piece at ``x`` paired with
+    ``partner``: ``-x / partner``, or ``(1 - x / partner) / 2``, where
+    ``x / partner`` reads as ``-1`` at the origin."""
+    if mode == "ratio_weighted":
+        return 1 if x == 0 else -x / partner
+    ratio = Fraction(-1) if x == 0 else x / partner
+    return (1 - ratio) / 2
 
 
 def side_masses_from_levels(measure: ZeroMeanMeasure):
@@ -303,9 +387,13 @@ def component_ratio_moment(law: TwoPointLaw):
     """``E R / X`` for one two-point law: ``-1 + (a + b)^2 / (a b)``,
     factored as ``-1 + ((a + b) / a) ((a + b) / b)`` where a float ``a b``
     leaves the normal range or ``(a + b)^2`` overflows."""
-    if law.is_degenerate:
+    return _ratio_moment(law.a, law.b)
+
+
+def _ratio_moment(a, b):
+    """:func:`component_ratio_moment` of the law on ``a <= 0 <= b``."""
+    if a == b:
         return -1
-    a, b = law.a, law.b
     prod = a * b
     if (not isinstance(prod, float)
             or sys.float_info.min <= abs(prod) <= sys.float_info.max):
@@ -331,7 +419,8 @@ def _balanced_sum(terms: list):
 def ratio_moments(measure: ZeroMeanMeasure) -> RatioMoments:
     """Partner-ratio moments of a discrete measure, exact through
     :func:`decompose`."""
-    terms = [w * component_ratio_moment(law) for w, law in decompose(measure)]
+    terms = [w * _ratio_moment(a, b)
+             for w, a, b in decompose(measure)._triples()]
     return RatioMoments(-1, _balanced_sum(terms) if measure.is_exact
                         else sum(terms))
 

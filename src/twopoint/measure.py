@@ -49,7 +49,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,7 +157,8 @@ def _check_level(h):
 
 
 class LevelTable(NamedTuple):
-    """The canonical pairing of a discrete measure, one tuple per column.
+    """The canonical pairing of a discrete measure, one sequence per column
+    (tuples from ``_level_table()``, arrays from ``_level_columns``).
 
     The pieces cut ``(0, max(G(-inf), G(inf))]`` at every cumulative
     level of either side; piece ``k`` ends at ``hi[k]`` (an int over ``D``
@@ -170,12 +171,12 @@ class LevelTable(NamedTuple):
     keeps its last atom as the partner.
     """
 
-    dh: tuple
-    hi: tuple
-    a: tuple
-    b: tuple
-    a_live: tuple
-    b_live: tuple
+    dh: Sequence
+    hi: Sequence
+    a: Sequence
+    b: Sequence
+    a_live: Sequence
+    b_live: Sequence
 
 
 #: float columns of a discrete measure for vectorized draws, each the float
@@ -668,16 +669,22 @@ class ZeroMeanMeasure:
     # -- the canonical pairing ---------------------------------------------
 
     def _level_table(self) -> LevelTable:
-        """The :class:`LevelTable` of a discrete measure, built once."""
-        return self._level_columns[0]
+        """The :class:`LevelTable` of a discrete measure as tuples, built
+        once."""
+        return self._level_tuples
 
     @cached_property
-    def _level_columns(self) -> tuple:
-        """``(table, hi, a, b)``: the :class:`LevelTable`, built column by
-        column from the cumulative levels of both sides, and three of its
-        columns as arrays: ``hi`` in float64, or as Python ints on an exact
-        measure (those over ``D`` can pass int64), and the partners ``a``
-        and ``b`` as the atoms' own location objects."""
+    def _level_tuples(self) -> LevelTable:
+        return LevelTable(*(tuple(column.tolist())
+                            for column in self._level_columns))
+
+    @cached_property
+    def _level_columns(self) -> LevelTable:
+        """The :class:`LevelTable` of a discrete measure as arrays, built
+        column by column from the cumulative levels of both sides: float64
+        on a float measure; on an exact one ``dh``, ``a`` and ``b`` hold
+        Fractions and ``hi`` Python ints (those over ``D`` can pass int64).
+        The two masks are bool arrays."""
         self._require_discrete("the level table")
         kind = object if self._exact else float
         pos = np.array(self._pos_cum, dtype=kind)
@@ -688,15 +695,13 @@ class ZeroMeanMeasure:
         # a spent side keeps its last atom
         a_at = np.minimum(j, len(neg) - 1) - 1
         b_at = np.minimum(i, len(pos) - 1) - 1
-        a = np.array(self._neg_locs, dtype=object)[a_at]
-        b = np.array(self._pos_locs, dtype=object)[b_at]
-        dh = np.diff(hi, prepend=pos[:1]).tolist()
+        a = np.array(self._neg_locs, dtype=kind)[a_at]
+        b = np.array(self._pos_locs, dtype=kind)[b_at]
+        dh = np.diff(hi, prepend=pos[:1])
         if self._exact:
-            dh = [Fraction(d, self._unit) for d in dh]
-        table = LevelTable(tuple(dh), *(
-            tuple(column.tolist())
-            for column in (hi, a, b, j < len(neg), i < len(pos))))
-        return table, hi, a, b
+            dh = np.array([Fraction(d, self._unit) for d in dh.tolist()],
+                          dtype=object)
+        return LevelTable(dh, hi, a, b, j < len(neg), i < len(pos))
 
     def u_segments(self, x):
         """Partition of ``u`` in ``(0, 1]`` into the pieces of the level
@@ -815,7 +820,7 @@ class ZeroMeanMeasure:
     @cached_property
     def _float_levels(self) -> FloatLevels:
         """The :class:`FloatLevels` of a discrete measure, built once."""
-        _, hi, a, b = self._level_columns
+        _, hi, a, b, _, _ = self._level_columns
         steps = self._steps.values()  # in atom order
         return FloatLevels(
             np.array(self._locs, dtype=float),

@@ -73,7 +73,12 @@ class CostFunction:
     label: str
 
     def __call__(self, pos, neg_mag):
-        return self.fn(pos, neg_mag)
+        try:
+            return self.fn(pos, neg_mag)
+        except OverflowError as exc:  # a float power past the float range
+            raise InputError(
+                f"{self.label} at ({_approx(pos)}, {_approx(neg_mag)}) lies "
+                "past the float range") from exc
 
 
 def _sign(canonical_is: str) -> int:

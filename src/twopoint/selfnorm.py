@@ -520,8 +520,9 @@ class AsymmetryCertificate:
 
 def asymmetry_certificate(measure: ZeroMeanMeasure) -> AsymmetryCertificate:
     """Certify the positive-side ratio bound of a discrete measure."""
-    gamma = max(law.b / -law.a for _w, law in decompose(measure)
-                if not law.is_degenerate)
+    dec = decompose(measure)
+    gamma = max(b / -a for a, b in zip(dec.a.tolist(), dec.b.tolist())
+                if b != a)
     return AsymmetryCertificate(gamma, 1 / (1 + gamma))
 
 

@@ -102,6 +102,15 @@ class TestVerify:
             '  "m": "2000000001/4000000000",\n  "passed": false,\n'
             '  "passed_count": 1\n}\n')
 
+    def test_exact_routes_compare_exactly(self, tmp_path, capsys):
+        # a float probe squares 1e160 past the float range; the exact
+        # measure's routes agree exactly at any scale
+        src = tmp_path / "mu.json"
+        src.write_text('{"atoms": [[-1e160, 0.5], [1e160, 0.5]]}')
+        code, out, _ = run(capsys, ["verify", "--input", str(src)])
+        assert code == 0
+        assert json.loads(out)["checks"]["mixture_modes"] is True
+
     @pytest.mark.parametrize("backend, code", [("discrete", 0),
                                                ("analytic", 1)])
     def test_backend_key(self, tmp_path, capsys, backend, code):
@@ -503,6 +512,18 @@ class TestEstimate:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_is_one_usage_line(self, tmp_path, capsys, seed):
+        src = tmp_path / "xs.txt"
+        src.write_text("1 2 3")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--input", str(src), "--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "--seed" in captured.err
+
     def test_nan_result_is_an_error(self, tmp_path, capsys):
         # the resample sums overflow, so the interval ends are nan, which
         # JSON cannot carry
@@ -743,11 +764,14 @@ ALT = json.dumps({"components": [{"w": "3/10", "a": -2, "b": 1},
     (ALT, ["--cost", '{"kind": "indicator_ge", "b": "abc"}']),
     (ALT, ["--cost", '{"kind": "abs_sum_pow", "P": 2}']),
     (ALT, ["--cost", '{"kind": "ratio_pow", "sid": "neg_over_pos"}']),
+    (ALT, ["--cost", '{"kind": "abs_sum_pow", "p": 1e300}']),
+    (ALT, ["--cost", '{"kind": "ratio_pow", "p": 1e10}']),
 ], ids=["malformed-cost", "list-component", "huge-quoted-weight",
         "huge-weight-sum", "huge-quoted-endpoint", "string-ratio-power",
         "string-threshold", "null-width-power", "beyond-float-width-power",
         "beyond-float-ratio-power", "list-power", "bool-power",
-        "non-numeric-threshold", "unknown-key", "misspelt-side"])
+        "non-numeric-threshold", "unknown-key", "misspelt-side",
+        "float-exponent-width-power", "float-exponent-ratio-power"])
 def test_optimal_no_traceback(tmp_path, capsys, alt, extra):
     src = write_json(tmp_path / "mu.json", FOUR)
     alt_path = tmp_path / "alt.json"

@@ -519,6 +519,91 @@ class TestBuiltOncePerMeasure:
         assert list(decompose(mu)) == _sorted_merge(mu)
 
 
+def _row_build(mu):
+    """``(rows, components)`` as the decomposition was built one row of
+    the level table at a time, with one two-point law per row: ``rows``
+    holds ``(a, b, law, w_a, w_b)`` for the atom at zero and each row, in
+    level order, each weight None where its side carries no mass."""
+    table = mu._level_table()
+    p0, zero = mu.prob_zero, mu._zero
+    point_mass = disintegration.TwoPointLaw(zero, zero, mu._one, zero)
+    rows = [(zero, 0, point_mass, p0, None)] if p0 else []
+    rows += [(a, b, disintegration._law(a, b), dh / -a if a_live else None,
+              dh / b if b_live else None)
+             for dh, _, a, b, a_live, b_live in zip(*table)]
+    merged = []  # [-run of x_minus, weight, law, x_minus, x_plus]
+    for a, b, law, w_a, w_b in rows:
+        if not (merged and merged[-1][3] == a and merged[-1][4] == b):
+            run = merged[-1][0] - (merged[-1][3] != a) if merged else 0
+            merged.append([run, 0, law, a, b])
+        for w in (w_a, w_b):
+            if w is not None:
+                merged[-1][1] += w
+    merged.sort(key=lambda entry: entry[0])
+    return rows, [(w, law) for _, w, law, _, _ in merged]
+
+
+def _row_route(rows, g, mode):
+    """A piece route of ``mixture_expect`` summed row by row."""
+    total = 0
+    for a, b, law, w_a, w_b in rows:
+        expected = law.expect(g)
+        for x, partner, seg in ((a, b, w_a), (b, a, w_b)):
+            if seg is None:
+                continue
+            if mode == "u_integral":
+                term = seg * expected
+            elif mode == "ratio_weighted":
+                term = seg * (1 if x == 0 else -x / partner) * expected
+            else:
+                ratio = F(-1) if x == 0 else x / partner
+                term = seg * ((1 - ratio) / 2) * expected
+            total = total + term
+    return total
+
+
+def _row_reassembled(components):
+    out = {}
+    for w, law in components:
+        if law.is_degenerate:
+            out[law.a] = out.get(law.a, 0) + w
+        else:
+            out[law.a] = out.get(law.a, 0) + w * law.p_a
+            out[law.b] = out.get(law.b, 0) + w * law.p_b
+    return out
+
+
+def _law_bits(components):
+    return [_bits([w, law.a, law.b, law.p_a, law.p_b])
+            for w, law in components]
+
+
+@given(st.one_of(
+    table_measures,
+    # float atoms with a side spent on the top rows, which merge in runs
+    st.builds(_as_floats, st.builds(_spent_side, integer_samples(),
+                                    st.sampled_from([-1, 1])),
+              st.just(1.0))))
+@settings(max_examples=150)
+def test_columns_are_the_row_build(mu):
+    rows, want = _row_build(mu)
+    dec = decompose(mu)
+    assert len(dec) == len(want)
+    assert _law_bits(dec) == _law_bits(want)
+    assert [_bits(c.values()) for c in dec.to_jsonable()["components"]] == [
+        _bits([law.a, law.b, w]) for w, law in want]
+    got_atoms, want_atoms = dec.reassembled_atoms(), _row_reassembled(want)
+    assert _bits(got_atoms) == _bits(want_atoms)
+    assert _bits(got_atoms.values()) == _bits(want_atoms.values())
+    terms = [w * component_ratio_moment(law) for w, law in want]
+    assert _bits([ratio_moments(mu).er_over_x]) == _bits(
+        [disintegration._balanced_sum(terms) if mu.is_exact else sum(terms)])
+    g = lambda x: x * x - x
+    for mode in ("u_integral", "ratio_weighted", "half_sum"):
+        assert _bits([mixture_expect(mu, g, mode)]) == _bits(
+            [_row_route(rows, g, mode)]), mode
+
+
 class TestRatioMomentSum:
     @given(st.one_of(small_exact_measures(),
                      integer_samples().map(ZeroMeanMeasure.from_samples)))
